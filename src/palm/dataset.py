@@ -21,9 +21,10 @@ from __future__ import annotations
 import hashlib
 import mmap
 import os
+import struct
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .encoding import Reader, u32, u64
 from .errors import (
@@ -37,6 +38,7 @@ from .msh import DEFAULT_PARAMS, MshAccumulator, MshDigest, MshParams
 
 MAGIC = b"PALMDS1\x00"
 HEADER_LEN = len(MAGIC) + 8
+_U32 = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,32 @@ def unpack_records(data: bytes) -> tuple[bytes, ...]:
     return records
 
 
+def record_spans(view) -> Iterator[tuple[int, int]]:
+    """Yield (offset, length) of each record in container bytes, in order.
+
+    Reads only the header and length prefixes. A layout fault raises
+    FormatError when the scan reaches it; trailing bytes are found only
+    after the last span, so a consumer must exhaust the iterator before it
+    trusts anything it built from the spans.
+    """
+    if len(view) < HEADER_LEN or view[: len(MAGIC)] != MAGIC:
+        raise FormatError("bad magic")
+    count = int.from_bytes(view[len(MAGIC) : HEADER_LEN], "little")
+    pos = HEADER_LEN
+    end = len(view)
+    for _ in range(count):
+        if pos + 4 > end:
+            raise FormatError("truncated record length")
+        (length,) = _U32.unpack_from(view, pos)
+        pos += 4
+        if pos + length > end:
+            raise FormatError("truncated record bytes")
+        yield pos, length
+        pos += length
+    if pos != end:
+        raise FormatError(f"{end - pos} trailing bytes after last record")
+
+
 class InMemoryDataset:
     """Dataset loaded whole; measured by one plain hash over the file bytes."""
 
@@ -123,31 +151,14 @@ class MappedDataset:
         except Exception:
             self._file.close()
             raise
-        self._spans = self._scan_index()
+        try:
+            self._spans = list(record_spans(self._map))
+        except FormatError:
+            self.close()
+            raise
         self._seen = bytearray((len(self._spans) + 7) // 8)
         self._lock = threading.Lock()
         self.accumulator = MshAccumulator(params)
-
-    def _scan_index(self) -> list[tuple[int, int]]:
-        view = self._map
-        if len(view) < HEADER_LEN or view[: len(MAGIC)] != MAGIC:
-            raise FormatError("bad magic")
-        count = int.from_bytes(view[len(MAGIC) : HEADER_LEN], "little")
-        spans = []
-        pos = HEADER_LEN
-        end = len(view)
-        for _ in range(count):
-            if pos + 4 > end:
-                raise FormatError("truncated record length")
-            length = int.from_bytes(view[pos : pos + 4], "little")
-            pos += 4
-            if pos + length > end:
-                raise FormatError("truncated record bytes")
-            spans.append((pos, length))
-            pos += length
-        if pos != end:
-            raise FormatError(f"{end - pos} trailing bytes after last record")
-        return spans
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -174,6 +185,9 @@ class MappedDataset:
         return record
 
     def missing_indices(self) -> list[int]:
+        whole, rest = divmod(len(self._spans), 8)
+        if self._seen == b"\xff" * whole + bytes([(1 << rest) - 1] if rest else []):
+            return []  # the usual case, decided without a per-index scan
         missing = []
         for index in range(len(self._spans)):
             byte, bit = divmod(index, 8)

@@ -28,8 +28,9 @@ Label schemas are closed per operation:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from .dataset import (
     DatasetHash,
@@ -37,10 +38,11 @@ from .dataset import (
     MappedDataset,
     finish_epoch,
     pack_records,
+    record_spans,
 )
 from .encoding import lp, sha3_256, u32
 from .errors import FormatError
-from .msh import msh_of_records
+from .msh import MshAccumulator, msh_of_records
 from .toyops import (
     History,
     ToyModel,
@@ -52,6 +54,7 @@ from .toyops import (
     infer_session,
     optimize,
     preproc,
+    preproc_record,
     serialize_distribution,
     serialize_history,
     train,
@@ -73,6 +76,7 @@ GPU_LABEL = "GPU_att"
 BINDING_LABEL = "h(h(D)||MSH(D))"
 
 Dataset = Union[InMemoryDataset, MappedDataset]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -179,11 +183,18 @@ class GpuToken:
 @dataclass(frozen=True)
 class Measured:
     """Result of a measured run: the operation output, its evidence, and the
-    output payloads (keyed by label) a relying party can recheck H_O against."""
+    output payloads (keyed by label) a relying party can recheck H_O against.
+
+    Payloads are built on first access of `outputs`, so a confidential run,
+    whose payloads are never returned, never pays for them."""
 
     result: object
     mset: MeasurementSet
-    outputs: dict[str, bytes]
+    payloads: Callable[[], dict[str, bytes]] = field(repr=False, compare=False)
+
+    @cached_property
+    def outputs(self) -> dict[str, bytes]:
+        return self.payloads()
 
 
 def _dataset_entry(role: str, dh: DatasetHash) -> LabeledMeasurement:
@@ -192,25 +203,46 @@ def _dataset_entry(role: str, dh: DatasetHash) -> LabeledMeasurement:
     return LabeledMeasurement(f"MSH({role})", dh.multiset.encode())
 
 
+def _sampled(ds: MappedDataset) -> Iterator[bytes]:
+    """One exactly-once epoch in index order; each record is measured as it
+    is sampled, one sample_record call per index."""
+    for index in range(len(ds)):
+        yield ds.sample_record(index)
+
+
+def _one_pass(ds: Dataset, op: Callable[[Iterable[bytes]], T]) -> tuple[T, DatasetHash]:
+    """Run a single-pass operation over a dataset and measure the dataset.
+
+    In-memory handles hand over the records hashed whole at load. Mapped
+    handles are streamed: the operation consumes each record as
+    sample_record returns it, no record list is built, and the epoch is
+    finished after the pass, so a record withheld, served twice, or left
+    unconsumed by the operation fails the run.
+    """
+    if isinstance(ds, InMemoryDataset):
+        return op(ds.records), ds.dataset_hash()
+    result = op(_sampled(ds))
+    return result, finish_epoch(ds)
+
+
 def _ingest(ds: Dataset) -> tuple[tuple[bytes, ...], DatasetHash]:
     """Pull all records out of a dataset handle along with its measurement.
 
-    In-memory handles were hashed whole at load. Mapped handles get one full
-    exactly-once epoch here, measuring each record as it is sampled; the
-    records are materialized so later passes (training epochs) stay inside
-    already-measured memory.
+    Used by the operations that pass over the records several times:
+    Training and WeightOptimization run epochs. In-memory handles were
+    hashed whole at load. Mapped handles get one full exactly-once epoch
+    here, measuring each record as it is sampled; the records are
+    materialized so later passes stay inside already-measured memory.
+    Single-pass operations use _one_pass instead and build no record list.
     """
-    if isinstance(ds, InMemoryDataset):
-        return ds.records, ds.dataset_hash()
-    records = tuple(ds.sample_record(i) for i in range(len(ds)))
-    return records, finish_epoch(ds)
+    return _one_pass(ds, tuple)
 
 
-def _derived_entry(role: str, records: tuple[bytes, ...], mode: str) -> LabeledMeasurement:
-    """Measure an operation-produced dataset the same way its input mode does."""
-    if mode == "inmem":
-        return LabeledMeasurement(f"h({role})", sha3_256(pack_records(records)))
-    return LabeledMeasurement(f"MSH({role})", msh_of_records(records).encode())
+def _kept(into: list, items: Iterable[T]) -> Iterator[T]:
+    """Pass items through unchanged, appending each to `into` on the way."""
+    for item in items:
+        into.append(item)
+        yield item
 
 
 def _with_gpu(h_i: list[LabeledMeasurement], gpu: Optional[GpuToken]) -> tuple:
@@ -220,46 +252,63 @@ def _with_gpu(h_i: list[LabeledMeasurement], gpu: Optional[GpuToken]) -> tuple:
 
 
 def measure_preprocessing(ds: Dataset, gpu: Optional[GpuToken] = None) -> Measured:
-    records, dh = _ingest(ds)
-    d_pre = preproc(records)
-    out_entry = _derived_entry("Dpre", d_pre, ds.mode)
+    """Dpre is measured the way its input is held: h over its packed form in
+    memory, or MSH folded as each preprocessed record is produced when the
+    input is mapped, in the same pass that samples and measures D."""
+    if isinstance(ds, InMemoryDataset):
+        d_pre = preproc(ds.records)
+        packed = pack_records(d_pre)
+        dh = ds.dataset_hash()
+        out_entry = LabeledMeasurement("h(Dpre)", sha3_256(packed))
+    else:
+        produced: list[bytes] = []
+        d_pre_msh = msh_of_records(_kept(produced, map(preproc_record, _sampled(ds))))
+        dh = finish_epoch(ds)
+        d_pre = tuple(produced)
+        out_entry = LabeledMeasurement("MSH(Dpre)", d_pre_msh.encode())
+        packed = None  # packed only if the payload is read
     mset = MeasurementSet(
         OperationId("Preprocessing"),
         _with_gpu([_dataset_entry("D", dh)], gpu),
         (out_entry,),
     )
-    return Measured(d_pre, mset, {out_entry.label: pack_records(d_pre)})
+    return Measured(d_pre, mset, lambda: {out_entry.label: packed or pack_records(d_pre)})
 
 
 def measure_attribute_distribution(
     ds: Dataset, gpu: Optional[GpuToken] = None
 ) -> Measured:
-    records, dh = _ingest(ds)
-    hist = attribute_distribution(records)
+    hist, dh = _one_pass(ds, attribute_distribution)
     ser = serialize_distribution(hist)
     mset = MeasurementSet(
         OperationId("AttributeDistribution"),
         _with_gpu([_dataset_entry("D", dh)], gpu),
         (LabeledMeasurement("h(Adist)", sha3_256(ser)),),
     )
-    return Measured(hist, mset, {"h(Adist)": ser})
+    return Measured(hist, mset, lambda: {"h(Adist)": ser})
 
 
 def measure_binding(path: str | os.PathLike) -> Measured:
-    """Two passes over the same file: whole-file plain hash, then a full
-    multiset epoch. The single output entry ties the two digests together."""
+    """One read of the file, two digests of the same bytes: the whole-file
+    plain hash and the multiset hash of the records it holds, so the file
+    cannot change between them. The records are hashed from views into the
+    read bytes, so the peak is the file itself; a layout fault raises the
+    same FormatError a mapping would. The single output entry ties the two
+    digests together."""
     with open(path, "rb") as f:
-        plain = sha3_256(f.read())
-    with MappedDataset(path) as ds:
-        for i in range(len(ds)):
-            ds.sample_record(i)
-        msh = finish_epoch(ds).multiset.encode()
+        data = f.read()
+    view = memoryview(data)
+    acc = MshAccumulator()
+    for offset, length in record_spans(data):
+        acc.insert(view[offset : offset + length])
+    plain = sha3_256(data)
+    msh = acc.finalize().encode()
     mset = MeasurementSet(
         OperationId("MeasurementBinding"),
         (),
         (LabeledMeasurement(BINDING_LABEL, sha3_256(plain + msh)),),
     )
-    return Measured((plain, msh), mset, {"h(D)": plain, "MSH(D)": msh})
+    return Measured((plain, msh), mset, lambda: {"h(D)": plain, "MSH(D)": msh})
 
 
 def measure_training(
@@ -271,6 +320,7 @@ def measure_training(
 ) -> Measured:
     records, dh = _ingest(ds_tr)
     model = train(arch, records, config, tokenizer)
+    model_bytes = model.serialized_bytes()
     mset = MeasurementSet(
         OperationId("Training"),
         _with_gpu(
@@ -282,9 +332,9 @@ def measure_training(
             ],
             gpu,
         ),
-        (LabeledMeasurement("h(Mtr)", sha3_256(model.serialized_bytes())),),
+        (LabeledMeasurement("h(Mtr)", sha3_256(model_bytes)),),
     )
-    return Measured(model, mset, {"h(Mtr)": model.serialized_bytes()})
+    return Measured(model, mset, lambda: {"h(Mtr)": model_bytes})
 
 
 def measure_optimization(
@@ -301,6 +351,7 @@ def measure_optimization(
     if ds_opt is not None:
         d_opt_records, opt_dh = _ingest(ds_opt)
     optimized = optimize(model, tokenizer, config, id_opt, adp, d_opt_records)
+    optimized_bytes = optimized.serialized_bytes()
     h_i = [
         LabeledMeasurement("h(M)", sha3_256(model.serialized_bytes())),
         LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
@@ -314,9 +365,9 @@ def measure_optimization(
     mset = MeasurementSet(
         OperationId("WeightOptimization", id_opt),
         _with_gpu(h_i, gpu),
-        (LabeledMeasurement("h(Mopt)", sha3_256(optimized.serialized_bytes())),),
+        (LabeledMeasurement("h(Mopt)", sha3_256(optimized_bytes)),),
     )
-    return Measured(optimized, mset, {"h(Mopt)": optimized.serialized_bytes()})
+    return Measured(optimized, mset, lambda: {"h(Mopt)": optimized_bytes})
 
 
 def measure_evaluation(
@@ -325,8 +376,7 @@ def measure_evaluation(
     ds_te: Dataset,
     gpu: Optional[GpuToken] = None,
 ) -> Measured:
-    records, dh = _ingest(ds_te)
-    metric = evaluate(model, tokenizer, records)
+    metric, dh = _one_pass(ds_te, lambda records: evaluate(model, tokenizer, records))
     metric_bytes = metric.encode("ascii")
     mset = MeasurementSet(
         OperationId("Evaluation"),
@@ -340,7 +390,7 @@ def measure_evaluation(
         ),
         (LabeledMeasurement("h(metric)", sha3_256(metric_bytes)),),
     )
-    return Measured(metric, mset, {"h(metric)": metric_bytes})
+    return Measured(metric, mset, lambda: {"h(metric)": metric_bytes})
 
 
 def measure_inference(
@@ -363,7 +413,7 @@ def measure_inference(
         ),
         (LabeledMeasurement("h(r)", sha3_256(r_bytes)),),
     )
-    return Measured(response, mset, {"h(r)": r_bytes})
+    return Measured(response, mset, lambda: {"h(r)": r_bytes})
 
 
 def measure_session_inference(
@@ -393,5 +443,5 @@ def measure_session_inference(
         ),
     )
     return Measured(
-        (response, new_history), mset, {"h(r)": r_bytes, "h(H)": history_bytes}
+        (response, new_history), mset, lambda: {"h(r)": r_bytes, "h(H)": history_bytes}
     )

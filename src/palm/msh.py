@@ -6,8 +6,14 @@ sum of those vectors mod n. Insertion order is irrelevant, multiplicities
 matter, and accumulators built over disjoint partitions of a multiset can
 be merged into the accumulator of the union.
 
-Limb arithmetic runs on numpy unsigned vectors, whose native wraparound is
-exactly the mod-2^n_log2 reduction the construction needs.
+An accumulator computes each record's XOF output when the record is
+inserted, over exactly the bytes it was given, but adds the outputs up in
+batches: FLUSH_RECORDS outputs are joined into one (records x l) limb
+matrix and reduced with a single numpy sum in the limb dtype, whose native
+wraparound is exactly the mod-2^n_log2 reduction the construction needs.
+Addition mod 2^n_log2 is associative and commutative, so the batched sum
+equals the record-by-record one bit for bit. Anything that reads the state
+(finalize, merge, limbs) flushes the pending batch first.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,6 +32,9 @@ from .errors import ParamsMismatch
 HASH_DOMAIN = b"PALM-MSH-v1\x00"
 
 _DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
+
+# XOF outputs held back before one batched reduction: 128 KiB at m = 4096.
+FLUSH_RECORDS = 256
 
 
 @dataclass(frozen=True)
@@ -64,17 +73,14 @@ class MshParams:
 DEFAULT_PARAMS = MshParams()
 
 
-def _hash_limbs(record: bytes, params: MshParams) -> np.ndarray:
-    """XOF the domain-separated record into an l-limb vector."""
-    xof = hashlib.shake_256()
-    xof.update(HASH_DOMAIN)
-    xof.update(record)
-    return np.frombuffer(xof.digest(params.digest_bytes), dtype=params.dtype)
+def _xof(record: bytes, n_bytes: int) -> bytes:
+    """XOF the domain-separated record into n_bytes of little-endian limbs."""
+    return hashlib.shake_256(HASH_DOMAIN + record).digest(n_bytes)
 
 
 def hash_record(record: bytes, params: MshParams = DEFAULT_PARAMS) -> tuple[int, ...]:
     """Map one record to its limb vector (little-endian limbs, each < 2^n_log2)."""
-    return tuple(int(x) for x in _hash_limbs(record, params))
+    return tuple(int(x) for x in np.frombuffer(_xof(record, params.digest_bytes), dtype=params.dtype))
 
 
 @dataclass(frozen=True)
@@ -102,18 +108,31 @@ class MshDigest:
 class MshAccumulator:
     """Running multiset hash; single-writer, mergeable with other accumulators."""
 
-    __slots__ = ("params", "_limbs", "count")
+    __slots__ = ("params", "_limbs", "_pending", "_xof_bytes", "count")
 
     def __init__(self, params: MshParams = DEFAULT_PARAMS):
         self.params = params
         self._limbs = np.zeros(params.l, dtype=params.dtype)
+        self._pending: list[bytes] = []
+        self._xof_bytes = params.digest_bytes
         self.count = 0
 
     def insert(self, record: bytes) -> "MshAccumulator":
-        """Fold one record in; componentwise add of its limb vector mod 2^n_log2."""
-        np.add(self._limbs, _hash_limbs(record, self.params), out=self._limbs)
+        """Fold one record in; componentwise add of its limb vector mod 2^n_log2.
+
+        The record is hashed now; the addition joins the pending batch."""
+        self._pending.append(_xof(record, self._xof_bytes))
         self.count += 1
+        if len(self._pending) >= FLUSH_RECORDS:
+            self._flush()
         return self
+
+    def _flush(self) -> None:
+        """Add the pending limb vectors into the state with one reduction."""
+        if self._pending:
+            batch = np.frombuffer(b"".join(self._pending), dtype=self.params.dtype)
+            self._limbs += batch.reshape(-1, self.params.l).sum(axis=0, dtype=self.params.dtype)
+            self._pending.clear()
 
     def insert_many(self, records: Iterable[bytes]) -> "MshAccumulator":
         for record in records:
@@ -124,6 +143,8 @@ class MshAccumulator:
         """Combine two accumulators over disjoint sub-multisets into their union."""
         if self.params != other.params:
             raise ParamsMismatch(f"{self.params.param_id} != {other.params.param_id}")
+        self._flush()
+        other._flush()
         merged = MshAccumulator(self.params)
         np.add(self._limbs, other._limbs, out=merged._limbs)
         merged.count = self.count + other.count
@@ -131,6 +152,7 @@ class MshAccumulator:
 
     def finalize(self) -> MshDigest:
         """Snapshot the current state; the accumulator stays usable."""
+        self._flush()
         return MshDigest(
             params_id=self.params.param_id,
             limbs=tuple(int(x) for x in self._limbs),
@@ -140,11 +162,12 @@ class MshAccumulator:
 
     @property
     def limbs(self) -> tuple[int, ...]:
+        self._flush()
         return tuple(int(x) for x in self._limbs)
 
 
 def msh_of_records(
-    records: Sequence[bytes], params: MshParams = DEFAULT_PARAMS
+    records: Iterable[bytes], params: MshParams = DEFAULT_PARAMS
 ) -> MshDigest:
-    """Digest a whole record sequence in one pass (fold of insert)."""
+    """Digest a whole record stream in one pass (fold of insert)."""
     return MshAccumulator(params).insert_many(records).finalize()

@@ -284,6 +284,15 @@ def _open_dataset(ctx: TdContext, name: str, mode: str):
     return ctx.mapped_opener(path)
 
 
+def _latin1(text, what: str) -> bytes:
+    """Request text as the bytes the toy operations consume; text outside
+    latin-1 (or not text at all) is a schema fault, not a crash."""
+    try:
+        return text.encode("latin-1")
+    except (AttributeError, UnicodeEncodeError) as exc:
+        raise SchemaError(f"{what} is not latin-1 text: {exc}") from exc
+
+
 def _run_measurer(request: AttestationRequest, ctx: TdContext, gpu: Optional[GpuToken]) -> Measured:
     op = request.op.name
     inputs = request.inputs
@@ -324,18 +333,22 @@ def _run_measurer(request: AttestationRequest, ctx: TdContext, gpu: Optional[Gpu
         return measure_inference(
             ToyModel.from_json(inputs["model"]),
             ToyTokenizer.from_json(inputs["tokenizer"]),
-            inputs["query"].encode("latin-1"),
+            _latin1(inputs["query"], "query"),
             gpu,
         )
     # SessionInference
-    history = tuple(
-        (q.encode("latin-1"), r.encode("latin-1")) for q, r in inputs["history"]
-    )
+    try:
+        history = tuple(
+            (_latin1(q, "history query"), _latin1(r, "history response"))
+            for q, r in inputs["history"]
+        )
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"history is not a list of (query, response) pairs: {exc}") from exc
     return measure_session_inference(
         ToyModel.from_json(inputs["model"]),
         ToyTokenizer.from_json(inputs["tokenizer"]),
         history,
-        inputs["query"].encode("latin-1"),
+        _latin1(inputs["query"], "query"),
         gpu,
     )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .encoding import lp, u32, u64
 from .errors import FormatError, MissingDataset, UnknownOptimization
@@ -178,16 +178,17 @@ def _add_counts(into: dict[int, dict[int, int]], frm: dict[int, dict[int, int]])
             table[tid] = table.get(tid, 0) + n
 
 
-def preproc(records: Sequence[bytes]) -> tuple[bytes, ...]:
+def preproc_record(record: bytes) -> bytes:
     """Lowercase ASCII, collapse whitespace runs to one space, cap at 256 bytes."""
-    out = []
-    for rec in records:
-        norm = b" ".join(rec.lower().split())
-        out.append(norm[:PREPROC_MAX_LEN])
-    return tuple(out)
+    return b" ".join(record.lower().split())[:PREPROC_MAX_LEN]
 
 
-def attribute_distribution(records: Sequence[bytes]) -> dict[int, int]:
+def preproc(records: Iterable[bytes]) -> tuple[bytes, ...]:
+    """preproc_record over every record, in order."""
+    return tuple(map(preproc_record, records))
+
+
+def attribute_distribution(records: Iterable[bytes]) -> dict[int, int]:
     """Histogram of record byte-lengths."""
     hist: dict[int, int] = {}
     for rec in records:
@@ -272,15 +273,16 @@ def optimize(
 
 
 def evaluate(
-    model: ToyModel, tokenizer: ToyTokenizer, records: Sequence[bytes]
+    model: ToyModel, tokenizer: ToyTokenizer, records: Iterable[bytes]
 ) -> str:
     """Exact accuracy "num/den" over "context<TAB>expected-token" records.
 
     An empty test set has no defined accuracy; the sentinel "0/0" reports
     metric-undefined rather than claiming 0 or 1.
     """
-    correct = 0
+    correct = total = 0
     for rec in records:
+        total += 1
         ctx_part, sep, expected_part = rec.partition(b"\t")
         if not sep:
             raise FormatError("test record has no tab separator")
@@ -290,7 +292,7 @@ def evaluate(
         expected_id = expected[0] if expected else UNK_ID
         if model.predict(context) == expected_id:
             correct += 1
-    return f"{correct}/{len(records)}"
+    return f"{correct}/{total}"
 
 
 def infer(model: ToyModel, tokenizer: ToyTokenizer, query: bytes) -> str:

@@ -11,6 +11,7 @@ and their integrity rests on the quote, not the channel.
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import socketserver
 import struct
@@ -21,6 +22,8 @@ from .errors import FormatError, PalmError
 from .protocol import AttestationRequest, AttestationResponse, TdContext, prover_handle
 
 MAX_FRAME = 64 * 1024 * 1024
+
+_log = logging.getLogger(__name__)
 
 MSG_REQUEST = "REQUEST"
 MSG_RESPONSE = "RESPONSE"
@@ -90,6 +93,11 @@ class _Handler(socketserver.BaseRequestHandler):
             return {"type": MSG_ERROR, "error": f"{type(exc).__name__}: {exc}"}
         except OSError as exc:
             return {"type": MSG_ERROR, "error": f"IoError: {exc}"}
+        except Exception as exc:
+            # A defect, not a bad request: keep its traceback, but still
+            # answer so the client is not left with a dropped connection.
+            _log.exception("prover failed on a request")
+            return {"type": MSG_ERROR, "error": f"{type(exc).__name__}: {exc}"}
         return {"type": MSG_RESPONSE, "body": response.to_json()}
 
 

@@ -37,3 +37,16 @@ def oracle_encode(limbs: list[int], count: int) -> bytes:
     for limb in limbs:
         out += limb.to_bytes(LIMB_BYTES, "little")
     return bytes(out)
+
+
+def oracle_msh_params(records, limbs: int, limb_bits: int) -> list[int]:
+    """The same construction for any legal parameter set: the XOF output read
+    as `limbs` little-endian limbs of `limb_bits` bits, summed mod 2^limb_bits."""
+    width = limb_bits // 8
+    mod = 2**limb_bits
+    acc = [0] * limbs
+    for record in records:
+        raw = hashlib.shake_256(PREFIX + record).digest(limbs * width)
+        for i in range(limbs):
+            acc[i] = (acc[i] + int.from_bytes(raw[i * width : (i + 1) * width], "little")) % mod
+    return acc

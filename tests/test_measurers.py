@@ -4,9 +4,16 @@ import hashlib
 
 import pytest
 
-from palm.dataset import MappedDataset, load_in_memory, pack_records, write_dataset
+from palm import measurers
+from palm.dataset import (
+    MappedDataset,
+    load_in_memory,
+    pack_records,
+    tamper_record,
+    write_dataset,
+)
 from palm.encoding import sha3_256
-from palm.errors import UnknownOptimization
+from palm.errors import DuplicateAccess, FormatError, IncompleteEpoch, UnknownOptimization
 from palm.measurers import (
     GpuToken,
     MeasurementSet,
@@ -21,7 +28,14 @@ from palm.measurers import (
     measure_training,
 )
 from palm.msh import msh_of_records
-from palm.toyops import TrainConfig, preproc, serialize_history
+from palm.toyops import (
+    TrainConfig,
+    attribute_distribution,
+    evaluate,
+    preproc,
+    serialize_distribution,
+    serialize_history,
+)
 
 from reference import oracle_encode, oracle_msh
 
@@ -93,6 +107,24 @@ class TestBinding:
         assert m.mset.h_i == ()
         assert labels(m.mset.h_o) == ["h(h(D)||MSH(D))"]
         assert m.mset.h_o[0].data == sha3_256(plain + msh)
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (lambda b: b"NOTPALM\x00" + b[8:], "bad magic"),
+            (lambda b: b[:10], "bad magic"),
+            (lambda b: b[:17], "truncated record length"),
+            (lambda b: b[:-2], "truncated record bytes"),
+            (lambda b: b + b"junk", "4 trailing bytes after last record"),
+        ],
+    )
+    def test_layout_faults_match_the_mapped_scan(self, tmp_path, corpus, cut, message):
+        path = tmp_path / "bad.palmds"
+        path.write_bytes(cut(pack_records(corpus)))
+        with pytest.raises(FormatError, match=message):
+            MappedDataset(path)
+        with pytest.raises(FormatError, match=message):
+            measure_binding(path)
 
     def test_empty_dataset_binding_defined(self, tmp_path):
         path = tmp_path / "empty.palmds"
@@ -238,3 +270,122 @@ class TestMeasurementSetEncoding:
             OperationId("Training", "finetune")
         with pytest.raises(ValueError):
             OperationId("WeightOptimization")
+
+
+# --------------------------------------------------------------------------
+# Single-pass operations stream a mapped dataset: each record is consumed as
+# sample_record returns it. The exactly-once epoch must still fail closed.
+
+EVAL_RECORDS = [b"the\tquick", b"pack\tmy", b"how\tvexingly", b"sphinx\tof",
+                b"jackdaws\tlove", b"five\tboxing"]
+
+
+class _ReServingDataset(MappedDataset):
+    """Storage that answers a request for record 2 with record 1 again."""
+
+    def sample_record(self, index, into=None):
+        return super().sample_record(1 if index == 2 else index, into)
+
+
+class _ShortDataset(MappedDataset):
+    """Advertises one record fewer than the file holds."""
+
+    def __len__(self):
+        return len(self._spans) - 1
+
+
+def _tampered(length: int) -> bytes:
+    """Same length as the record it replaces, so offsets hold; keeps a tab so
+    Evaluation still parses it."""
+    return b"Z\t" + b"Z" * (length - 2)
+
+
+class _TamperAfterFirstDataset(MappedDataset):
+    """Rewrites the last record on disk right after the first sample."""
+
+    def sample_record(self, index, into=None):
+        record = super().sample_record(index, into)
+        if index == 0:
+            last = len(self._spans) - 1
+            tamper_record(self.path, last, _tampered(self._spans[last][1]))
+        return record
+
+
+STREAMED_OPS = {
+    "Preprocessing": (lambda m, t, ds: measure_preprocessing(ds), "MSH(D)",
+                      lambda m, t, records: pack_records(preproc(records))),
+    "AttributeDistribution": (lambda m, t, ds: measure_attribute_distribution(ds), "MSH(D)",
+                              lambda m, t, records: serialize_distribution(
+                                  attribute_distribution(records))),
+    "Evaluation": (lambda m, t, ds: measure_evaluation(m, t, ds), "MSH(Dte)",
+                   lambda m, t, records: evaluate(m, t, records).encode()),
+}
+
+
+@pytest.fixture
+def eval_path(tmp_path):
+    path = tmp_path / "stream.palmds"
+    write_dataset(path, EVAL_RECORDS)
+    return str(path)
+
+
+@pytest.mark.parametrize("op", sorted(STREAMED_OPS))
+class TestStreamedEpochFailsClosed:
+    def test_clean_stream_matches_in_memory_op(self, op, eval_path, model, tokenizer):
+        run, label, expected_payload = STREAMED_OPS[op]
+        with MappedDataset(eval_path) as ds:
+            m = run(model, tokenizer, ds)
+        entry = m.mset.h_i[-1]
+        assert entry.label == label
+        assert entry.data == msh_of_records(EVAL_RECORDS).encode()
+        assert list(m.outputs.values()) == [expected_payload(model, tokenizer, EVAL_RECORDS)]
+
+    def test_record_served_twice(self, op, eval_path, model, tokenizer):
+        run, _, _ = STREAMED_OPS[op]
+        with _ReServingDataset(eval_path) as ds, pytest.raises(DuplicateAccess):
+            run(model, tokenizer, ds)
+
+    def test_record_withheld(self, op, eval_path, model, tokenizer):
+        run, _, _ = STREAMED_OPS[op]
+        with _ShortDataset(eval_path) as ds, pytest.raises(IncompleteEpoch) as exc:
+            run(model, tokenizer, ds)
+        assert exc.value.missing_indices == [len(EVAL_RECORDS) - 1]
+
+    def test_tamper_mid_epoch_is_what_gets_measured(self, op, eval_path, model, tokenizer):
+        """The rewritten record is both consumed and measured, so the input
+        digest leaves the clean reference a verifier holds."""
+        run, label, expected_payload = STREAMED_OPS[op]
+        with _TamperAfterFirstDataset(eval_path) as ds:
+            m = run(model, tokenizer, ds)
+        seen = EVAL_RECORDS[:-1] + [_tampered(len(EVAL_RECORDS[-1]))]
+        entry = m.mset.h_i[-1]
+        assert entry.label == label
+        assert entry.data != msh_of_records(EVAL_RECORDS).encode()
+        assert entry.data == msh_of_records(seen).encode()
+        assert list(m.outputs.values()) == [expected_payload(model, tokenizer, seen)]
+
+
+class TestPayloadsOnDemand:
+    def test_preprocessing_packs_only_when_outputs_are_read(self, dataset_path, corpus,
+                                                            monkeypatch):
+        calls = []
+        real = measurers.pack_records
+        monkeypatch.setattr(measurers, "pack_records", lambda r: calls.append(1) or real(r))
+        with MappedDataset(dataset_path) as ds:
+            m = measure_preprocessing(ds)
+        assert calls == []
+        assert m.outputs["MSH(Dpre)"] == real(preproc(corpus))
+        assert m.outputs["MSH(Dpre)"] is m.outputs["MSH(Dpre)"]
+        assert calls == [1]
+
+    def test_training_serializes_the_model_once(self, dataset_path, tokenizer, config,
+                                                monkeypatch):
+        from palm.toyops import ToyModel
+
+        calls = []
+        real = ToyModel.serialized_bytes
+        monkeypatch.setattr(ToyModel, "serialized_bytes",
+                            lambda self: calls.append(self.counts != {}) or real(self))
+        m = measure_training("bigram", load_in_memory(dataset_path), config, tokenizer)
+        assert m.mset.h_o[0].data == sha3_256(m.outputs["h(Mtr)"])
+        assert calls.count(True) == 1  # the trained model; the other call is empty Mar

@@ -1,12 +1,16 @@
 """Multiset hash unit and property tests, checked against a pure-int oracle."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from palm import msh
 from palm.errors import ParamsMismatch
 from palm.msh import (
     DEFAULT_PARAMS,
+    FLUSH_RECORDS,
     HASH_DOMAIN,
     MshAccumulator,
     MshParams,
@@ -14,7 +18,7 @@ from palm.msh import (
     msh_of_records,
 )
 
-from reference import MOD, oracle_encode, oracle_limbs, oracle_msh
+from reference import MOD, oracle_encode, oracle_limbs, oracle_msh, oracle_msh_params
 
 records_strategy = st.lists(st.binary(min_size=0, max_size=64), max_size=40)
 
@@ -131,3 +135,90 @@ class TestProperties:
     @settings(max_examples=60)
     def test_extra_record_changes_digest(self, records):
         assert msh_of_records(records) != msh_of_records(records + [records[0]])
+
+
+LEGAL_PARAMS = [
+    MshParams(m=64, l=8, n_log2=8, param_id="mu64"),
+    MshParams(m=256, l=16, n_log2=16, param_id="mu256"),
+    MshParams(m=1024, l=32, n_log2=32, param_id="mu1024"),
+    MshParams(m=4096, l=64, n_log2=64, param_id="mu4096"),
+]
+
+
+class TestBatchedReduction:
+    """Inserts hash at call time and add up in batches of FLUSH_RECORDS; the
+    batched sum must equal the record-by-record one for every limb width."""
+
+    @given(
+        st.lists(st.binary(max_size=24), min_size=1, max_size=8),
+        st.integers(min_value=FLUSH_RECORDS - 2, max_value=2 * FLUSH_RECORDS + 2),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_matches_oracle_across_flushes(self, base, n):
+        records = [base[i % len(base)] for i in range(n)]
+        digest = msh_of_records(records)
+        limbs, count = oracle_msh(records)
+        assert list(digest.limbs) == limbs
+        assert digest.count == count == n
+
+    @pytest.mark.parametrize("params", LEGAL_PARAMS, ids=lambda p: p.param_id)
+    def test_every_legal_width_wraps_like_the_oracle(self, params):
+        # Past two flushes, so every limb sum wraps even at 64 bits.
+        records = [b"r%d" % (i % 700) for i in range(2 * FLUSH_RECORDS + 5)]
+        acc = MshAccumulator(params).insert_many(records)
+        assert list(acc.limbs) == oracle_msh_params(records, params.l, params.n_log2)
+        digest = acc.finalize()
+        assert digest.count == len(records)
+        assert len(digest.encode()) == len(params.param_id) + 1 + 8 + params.digest_bytes
+
+    @pytest.mark.parametrize("params", LEGAL_PARAMS, ids=lambda p: p.param_id)
+    def test_reads_mid_batch_see_every_insert(self, params):
+        records = [b"x%d" % i for i in range(FLUSH_RECORDS + 10)]
+        acc = MshAccumulator(params)
+        for i, record in enumerate(records, start=1):
+            acc.insert(record)
+            if i in (1, FLUSH_RECORDS - 1, FLUSH_RECORDS, FLUSH_RECORDS + 10):
+                want = oracle_msh_params(records[:i], params.l, params.n_log2)
+                assert list(acc.limbs) == want
+                assert list(acc.finalize().limbs) == want
+                assert acc.finalize().count == i
+
+    @given(
+        st.lists(st.binary(max_size=16), max_size=40),
+        st.lists(st.binary(max_size=16), max_size=12),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=40),
+                      st.sampled_from(["finalize", "limbs", "merge"])),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_reads_and_merges(self, records, extra, reads):
+        """With a batch of three, reads and merges land mid-batch, on a flush
+        boundary and right after one; each must see exactly what went in."""
+        with mock.patch.object(msh, "FLUSH_RECORDS", 3):
+            acc = MshAccumulator()
+            folded: list[bytes] = []
+            at = sorted(reads)
+            for i, record in enumerate([*records, None]):
+                while at and at[0][0] <= i:
+                    _, kind = at.pop(0)
+                    if kind == "merge":
+                        other = MshAccumulator().insert_many(extra)
+                        acc = acc.merge(other)
+                        assert other.finalize() == msh_of_records(extra)
+                        folded += extra
+                    want, count = oracle_msh(folded)
+                    got = acc.limbs if kind == "limbs" else acc.finalize().limbs
+                    assert list(got) == want
+                    assert acc.count == count
+                if record is not None:
+                    acc.insert(record)
+                    folded.append(record)
+            assert acc.finalize() == msh_of_records(folded)
+
+    def test_insert_hashes_the_bytes_given_at_call_time(self):
+        record = bytearray(b"mutable record")
+        acc = MshAccumulator().insert(record)
+        record[:] = b"changed later!"
+        assert acc.finalize() == msh_of_records([b"mutable record"])

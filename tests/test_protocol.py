@@ -9,7 +9,7 @@ from palm.adversary import build_clean_fixture
 from palm.attestation import Challenge, derive_private_key
 from palm.dataset import write_dataset
 from palm.encoding import sha3_256
-from palm.errors import SchemaError
+from palm.errors import PalmError, SchemaError
 from palm.measurers import GpuToken, LabeledMeasurement, MeasurementSet
 from palm.protocol import (
     AttestationRequest,
@@ -377,3 +377,64 @@ class TestTransport:
                 assert Verifier(fixture.refstore).verify(response, req).accepted
         finally:
             server.shutdown()
+
+
+class TestConfidentialPayloads:
+    def test_confidential_mapped_preprocessing_keeps_its_measurement_set(self, fixture, ctx):
+        def request(tag: str, confidential: bool) -> AttestationRequest:
+            return build_request(
+                "Preprocessing", {"dataset": fixture.dataset_name}, nonce_chal(tag),
+                mode="mapped", want_gpu=True, confidential=confidential,
+            )
+
+        shown = prover_handle(request("pre", False), ctx)
+        fixture.reset_dataset()
+        hidden = prover_handle(request("pre", True), ctx)
+        assert hidden.outputs is None
+        assert hidden.mset == shown.mset
+        assert list(shown.outputs) == ["MSH(Dpre)"]
+
+
+class TestNonLatin1Text:
+    MODEL = {"kind": "unigram", "counts": {"0": {"1": 3}}}
+
+    def _inference(self, fixture, tag: str, query: str, history=None):
+        inputs = {"model": self.MODEL, "tokenizer": fixture.tokenizer.to_json(), "query": query}
+        op = "SingleInference"
+        if history is not None:
+            op, inputs["history"] = "SessionInference", history
+        return build_request(op, inputs, nonce_chal(tag))
+
+    @pytest.mark.parametrize(
+        "query, history",
+        [("snow \u2603", None), ("snow \u2603", []), ("q", [["snow \u2603", "r"]]),
+         ("q", [["q", 7]]), ("q", [["only a query"]])],
+    )
+    def test_prover_raises_schema_error(self, fixture, ctx, query, history):
+        with pytest.raises(SchemaError):
+            prover_handle(self._inference(fixture, "bad", query, history), ctx)
+
+    def test_server_answers_with_error_frame_and_keeps_serving(self, fixture, ctx, verifier):
+        server = serve_background(("127.0.0.1", 0), ctx)
+        try:
+            bad = self._inference(fixture, "snow", "snow \u2603")
+            with pytest.raises(PalmError, match=r"^server error: SchemaError"):
+                request_over_tcp(server.endpoint, bad, timeout=10)
+            good = self._inference(fixture, "plain", "snow")
+            assert verifier.verify(request_over_tcp(server.endpoint, good, timeout=10), good).accepted
+        finally:
+            server.shutdown()
+
+    def test_unexpected_prover_exception_is_an_error_frame(self, fixture, ctx, caplog):
+        req = fixture.make_request("bad-sampling")
+        inputs = dict(req.inputs, train_config={"seed": 1, "epochs": 1, "sampling": "zzz"})
+        bad = AttestationRequest(req.op, req.chal, inputs, req.mode, req.want_gpu)
+        server = serve_background(("127.0.0.1", 0), ctx)
+        try:
+            with pytest.raises(PalmError, match=r"^server error: ValueError: unknown sampling"):
+                request_over_tcp(server.endpoint, bad, timeout=10)
+            good = self._inference(fixture, "after", "snow")
+            assert request_over_tcp(server.endpoint, good, timeout=10).mset.op.name == good.op.name
+        finally:
+            server.shutdown()
+        assert "prover failed on a request" in caplog.text
