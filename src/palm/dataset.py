@@ -9,22 +9,24 @@ File layout (all integers little-endian):
 A dataset is measured either as a whole (plain SHA3-256 over the file
 bytes, for data that is loaded into protected memory up front) or as a
 multiset hash folded record-by-record at the moment each record is
-sampled from the mapping (for data that stays outside and is pulled in
-lazily). The mapped path enforces an exactly-once epoch: every record
-index must be sampled precisely one time before the digest can be
-finalized, so a swapped or re-served record after measurement cannot go
-unnoticed and a withheld record blocks finalization.
+sampled from the file (for data that stays outside and is pulled in
+lazily, "mapped" mode). A mapped record is read with os.pread on the file
+descriptor the handle holds, so a file that shrinks underneath the handle
+gives a short read and a FormatError, never a fault in the process. The
+mapped path enforces an exactly-once epoch: every record index must be
+sampled precisely one time before the digest can be finalized, so a
+swapped or re-served record after measurement cannot go unnoticed and a
+withheld record blocks finalization.
 """
 
 from __future__ import annotations
 
 import hashlib
-import mmap
 import os
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .encoding import Reader, u32, u64
 from .errors import (
@@ -39,6 +41,10 @@ from .msh import DEFAULT_PARAMS, MshAccumulator, MshDigest, MshParams
 MAGIC = b"PALMDS1\x00"
 HEADER_LEN = len(MAGIC) + 8
 _U32 = struct.Struct("<I")
+
+# Bytes one read takes while a mapped handle indexes the length prefixes
+# (at least HEADER_LEN).
+SCAN_CHUNK = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -84,30 +90,37 @@ def unpack_records(data: bytes) -> tuple[bytes, ...]:
     return records
 
 
-def record_spans(view) -> Iterator[tuple[int, int]]:
-    """Yield (offset, length) of each record in container bytes, in order.
+def record_spans(read_at: Callable[[int], bytes], size: int) -> Iterator[tuple[int, int]]:
+    """Yield (offset, length) of each record in a container of `size` bytes.
 
-    Reads only the header and length prefixes. A layout fault raises
-    FormatError when the scan reaches it; trailing bytes are found only
-    after the last span, so a consumer must exhaust the iterator before it
-    trusts anything it built from the spans.
+    read_at(offset) returns the container's bytes from offset on: all of
+    them, or at least the first HEADER_LEN. Only the header and the length
+    prefixes are looked at; the scan asks for more bytes when a length
+    prefix runs past what it holds. A layout fault raises FormatError when
+    the scan reaches it; trailing bytes are found only after the last span,
+    so a consumer must exhaust the iterator before it trusts anything it
+    built from the spans.
     """
-    if len(view) < HEADER_LEN or view[: len(MAGIC)] != MAGIC:
+    chunk = read_at(0) if size else b""
+    if size < HEADER_LEN or len(chunk) < HEADER_LEN or chunk[: len(MAGIC)] != MAGIC:
         raise FormatError("bad magic")
-    count = int.from_bytes(view[len(MAGIC) : HEADER_LEN], "little")
-    pos = HEADER_LEN
-    end = len(view)
+    count = int.from_bytes(chunk[len(MAGIC) : HEADER_LEN], "little")
+    base, pos = 0, HEADER_LEN  # chunk holds the bytes from offset base on
     for _ in range(count):
-        if pos + 4 > end:
+        if pos + 4 > size:
             raise FormatError("truncated record length")
-        (length,) = _U32.unpack_from(view, pos)
+        if pos + 4 > base + len(chunk):
+            base, chunk = pos, read_at(pos)
+            if len(chunk) < 4:  # the file shrank during the scan
+                raise FormatError("truncated record length")
+        (length,) = _U32.unpack_from(chunk, pos - base)
         pos += 4
-        if pos + length > end:
+        if pos + length > size:
             raise FormatError("truncated record bytes")
         yield pos, length
         pos += length
-    if pos != end:
-        raise FormatError(f"{end - pos} trailing bytes after last record")
+    if pos != size:
+        raise FormatError(f"{size - pos} trailing bytes after last record")
 
 
 class InMemoryDataset:
@@ -133,11 +146,13 @@ def load_in_memory(path: str | os.PathLike) -> InMemoryDataset:
 
 
 class MappedDataset:
-    """Dataset left on disk behind a memory mapping, measured at sample time.
+    """Dataset left on disk behind an open file, measured at sample time.
 
-    Opening scans only the length prefixes to build an offset index; record
-    bytes are first read (and first measured) when sample_record pulls them.
-    The access bitmap admits each index exactly once per epoch.
+    Opening scans only the length prefixes, in SCAN_CHUNK reads, to build an
+    offset index; record bytes are first read (and first measured) when
+    sample_record pulls them with os.pread. The access bitmap admits each
+    index exactly once per epoch. The handle owns its file: close it, or
+    use it as a context manager.
     """
 
     mode = "mapped"
@@ -145,16 +160,15 @@ class MappedDataset:
     def __init__(self, path: str | os.PathLike, params: MshParams = DEFAULT_PARAMS):
         self.path = os.fspath(path)
         self.params = params
-        self._file = open(self.path, "rb")
+        self._file = open(self.path, "rb", buffering=0)
+        self._fd = self._file.fileno()
         try:
-            self._map = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
+            self._spans = list(
+                record_spans(lambda offset: os.pread(self._fd, SCAN_CHUNK, offset),
+                             os.fstat(self._fd).st_size)
+            )
         except Exception:
             self._file.close()
-            raise
-        try:
-            self._spans = list(record_spans(self._map))
-        except FormatError:
-            self.close()
             raise
         self._seen = bytearray((len(self._spans) + 7) // 8)
         self._lock = threading.Lock()
@@ -171,16 +185,21 @@ class MappedDataset:
             self._seen[byte] |= 1 << bit
 
     def sample_record(self, index: int, into: Optional[MshAccumulator] = None) -> bytes:
-        """Read record bytes from the mapping and fold them into an accumulator.
+        """Read record bytes from the file and fold them into an accumulator.
 
         The fold happens on the bytes actually returned to the caller, at the
         time of the call; whatever the pipeline consumes is what got measured.
+        A record the file no longer holds in full is a FormatError.
         """
         if not 0 <= index < len(self._spans):
             raise IndexOutOfRange(f"index {index} not in [0, {len(self._spans)})")
         self._claim(index)
         offset, length = self._spans[index]
-        record = bytes(self._map[offset : offset + length])
+        record = os.pread(self._fd, length, offset)
+        if len(record) != length:
+            raise FormatError(
+                f"record {index} truncated on disk: read {len(record)} of {length} bytes"
+            )
         (into if into is not None else self.accumulator).insert(record)
         return record
 
@@ -196,7 +215,6 @@ class MappedDataset:
         return missing
 
     def close(self) -> None:
-        self._map.close()
         self._file.close()
 
     def __enter__(self) -> "MappedDataset":
@@ -232,7 +250,7 @@ def finish_epoch(
 def tamper_record(path: str | os.PathLike, index: int, new_bytes: bytes) -> None:
     """Rewrite one record in place on disk (test harness for tamper scenarios).
 
-    The file is modified through the existing inode so already-open mappings
+    The file is modified through the existing inode so already-open handles
     observe the change, which is the situation mid-epoch tampering needs.
     """
     with open(path, "r+b") as f:

@@ -9,6 +9,10 @@ class ParamsMismatch(PalmError):
     """Two multiset-hash accumulators with different parameter sets were combined."""
 
 
+class MshWorkerError(PalmError):
+    """A multiset-hash worker process died or answered out of protocol."""
+
+
 class FormatError(PalmError):
     """Malformed input: bad magic, truncated record, or an undecodable field."""
 

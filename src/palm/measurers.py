@@ -23,6 +23,10 @@ Label schemas are closed per operation:
     SessionInference       H_I [h(q), h(Mtok), h(M)]            H_O [h(r), h(H)]
 
 (h_D resolves to h or MSH per mode; GPU_att, when present, is last in H_I.)
+
+Measurers that take a dataset also take an optional MshPool. A mapped epoch
+is then hashed by the pool's workers: every record is still sampled, claimed
+and consumed here, once, and the bytes consumed are the bytes hashed.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from .dataset import (
     record_spans,
 )
 from .encoding import lp, sha3_256, u32
-from .errors import FormatError
-from .msh import MshAccumulator, msh_of_records
+from .errors import FormatError, PalmError
+from .msh import MshAccumulator, MshPool, msh_of_records
 from .toyops import (
     History,
     ToyModel,
@@ -203,29 +207,36 @@ def _dataset_entry(role: str, dh: DatasetHash) -> LabeledMeasurement:
     return LabeledMeasurement(f"MSH({role})", dh.multiset.encode())
 
 
-def _sampled(ds: MappedDataset) -> Iterator[bytes]:
-    """One exactly-once epoch in index order; each record is measured as it
-    is sampled, one sample_record call per index."""
+def _sampled(ds: MappedDataset, into: MshAccumulator) -> Iterator[bytes]:
+    """One exactly-once epoch in index order; each record is measured into
+    `into` as it is sampled, one sample_record call per index."""
     for index in range(len(ds)):
-        yield ds.sample_record(index)
+        yield ds.sample_record(index, into)
 
 
-def _one_pass(ds: Dataset, op: Callable[[Iterable[bytes]], T]) -> tuple[T, DatasetHash]:
+def _one_pass(
+    ds: Dataset, op: Callable[[Iterable[bytes]], T], pool: Optional[MshPool] = None
+) -> tuple[T, DatasetHash]:
     """Run a single-pass operation over a dataset and measure the dataset.
 
     In-memory handles hand over the records hashed whole at load. Mapped
     handles are streamed: the operation consumes each record as
     sample_record returns it, no record list is built, and the epoch is
     finished after the pass, so a record withheld, served twice, or left
-    unconsumed by the operation fails the run.
+    unconsumed by the operation fails the run. The records are folded into
+    an accumulator (hashed by the pool's workers when there is a pool) that
+    finish_epoch merges as a partial, under the same bitmap and count checks.
     """
     if isinstance(ds, InMemoryDataset):
         return op(ds.records), ds.dataset_hash()
-    result = op(_sampled(ds))
-    return result, finish_epoch(ds)
+    acc = MshAccumulator(ds.params, pool)
+    result = op(_sampled(ds, acc))
+    return result, finish_epoch(ds, [acc])
 
 
-def _ingest(ds: Dataset) -> tuple[tuple[bytes, ...], DatasetHash]:
+def _ingest(
+    ds: Dataset, pool: Optional[MshPool] = None
+) -> tuple[tuple[bytes, ...], DatasetHash]:
     """Pull all records out of a dataset handle along with its measurement.
 
     Used by the operations that pass over the records several times:
@@ -235,7 +246,7 @@ def _ingest(ds: Dataset) -> tuple[tuple[bytes, ...], DatasetHash]:
     materialized so later passes stay inside already-measured memory.
     Single-pass operations use _one_pass instead and build no record list.
     """
-    return _one_pass(ds, tuple)
+    return _one_pass(ds, tuple, pool)
 
 
 def _kept(into: list, items: Iterable[T]) -> Iterator[T]:
@@ -251,10 +262,23 @@ def _with_gpu(h_i: list[LabeledMeasurement], gpu: Optional[GpuToken]) -> tuple:
     return tuple(h_i)
 
 
-def measure_preprocessing(ds: Dataset, gpu: Optional[GpuToken] = None) -> Measured:
+def _not_kept() -> dict[str, bytes]:
+    raise PalmError("outputs were not kept: the run was measured without them")
+
+
+def measure_preprocessing(
+    ds: Dataset,
+    gpu: Optional[GpuToken] = None,
+    pool: Optional[MshPool] = None,
+    keep_output: bool = True,
+) -> Measured:
     """Dpre is measured the way its input is held: h over its packed form in
     memory, or MSH folded as each preprocessed record is produced when the
-    input is mapped, in the same pass that samples and measures D."""
+    input is mapped, in the same pass that samples and measures D.
+
+    Without keep_output (a confidential run, whose outputs are never
+    returned) Dpre is measured but not kept: the result is None and reading
+    the outputs raises, so a mapped run holds no dataset-sized state."""
     if isinstance(ds, InMemoryDataset):
         d_pre = preproc(ds.records)
         packed = pack_records(d_pre)
@@ -262,8 +286,12 @@ def measure_preprocessing(ds: Dataset, gpu: Optional[GpuToken] = None) -> Measur
         out_entry = LabeledMeasurement("h(Dpre)", sha3_256(packed))
     else:
         produced: list[bytes] = []
-        d_pre_msh = msh_of_records(_kept(produced, map(preproc_record, _sampled(ds))))
-        dh = finish_epoch(ds)
+        acc = MshAccumulator(ds.params, pool)
+        d_pre_stream = map(preproc_record, _sampled(ds, acc))
+        if keep_output:
+            d_pre_stream = _kept(produced, d_pre_stream)
+        d_pre_msh = msh_of_records(d_pre_stream, pool=pool)
+        dh = finish_epoch(ds, [acc])
         d_pre = tuple(produced)
         out_entry = LabeledMeasurement("MSH(Dpre)", d_pre_msh.encode())
         packed = None  # packed only if the payload is read
@@ -272,13 +300,15 @@ def measure_preprocessing(ds: Dataset, gpu: Optional[GpuToken] = None) -> Measur
         _with_gpu([_dataset_entry("D", dh)], gpu),
         (out_entry,),
     )
+    if not keep_output:
+        return Measured(None, mset, _not_kept)
     return Measured(d_pre, mset, lambda: {out_entry.label: packed or pack_records(d_pre)})
 
 
 def measure_attribute_distribution(
-    ds: Dataset, gpu: Optional[GpuToken] = None
+    ds: Dataset, gpu: Optional[GpuToken] = None, pool: Optional[MshPool] = None
 ) -> Measured:
-    hist, dh = _one_pass(ds, attribute_distribution)
+    hist, dh = _one_pass(ds, attribute_distribution, pool)
     ser = serialize_distribution(hist)
     mset = MeasurementSet(
         OperationId("AttributeDistribution"),
@@ -293,13 +323,13 @@ def measure_binding(path: str | os.PathLike) -> Measured:
     plain hash and the multiset hash of the records it holds, so the file
     cannot change between them. The records are hashed from views into the
     read bytes, so the peak is the file itself; a layout fault raises the
-    same FormatError a mapping would. The single output entry ties the two
-    digests together."""
+    same FormatError a mapped handle would. The single output entry ties
+    the two digests together."""
     with open(path, "rb") as f:
         data = f.read()
     view = memoryview(data)
     acc = MshAccumulator()
-    for offset, length in record_spans(data):
+    for offset, length in record_spans(lambda offset: view[offset:], len(data)):
         acc.insert(view[offset : offset + length])
     plain = sha3_256(data)
     msh = acc.finalize().encode()
@@ -317,8 +347,9 @@ def measure_training(
     config: TrainConfig,
     tokenizer: ToyTokenizer,
     gpu: Optional[GpuToken] = None,
+    pool: Optional[MshPool] = None,
 ) -> Measured:
-    records, dh = _ingest(ds_tr)
+    records, dh = _ingest(ds_tr, pool)
     model = train(arch, records, config, tokenizer)
     model_bytes = model.serialized_bytes()
     mset = MeasurementSet(
@@ -345,11 +376,12 @@ def measure_optimization(
     adp: Optional[ToyModel] = None,
     ds_opt: Optional[Dataset] = None,
     gpu: Optional[GpuToken] = None,
+    pool: Optional[MshPool] = None,
 ) -> Measured:
     d_opt_records = None
     opt_dh = None
     if ds_opt is not None:
-        d_opt_records, opt_dh = _ingest(ds_opt)
+        d_opt_records, opt_dh = _ingest(ds_opt, pool)
     optimized = optimize(model, tokenizer, config, id_opt, adp, d_opt_records)
     optimized_bytes = optimized.serialized_bytes()
     h_i = [
@@ -375,8 +407,9 @@ def measure_evaluation(
     tokenizer: ToyTokenizer,
     ds_te: Dataset,
     gpu: Optional[GpuToken] = None,
+    pool: Optional[MshPool] = None,
 ) -> Measured:
-    metric, dh = _one_pass(ds_te, lambda records: evaluate(model, tokenizer, records))
+    metric, dh = _one_pass(ds_te, lambda records: evaluate(model, tokenizer, records), pool)
     metric_bytes = metric.encode("ascii")
     mset = MeasurementSet(
         OperationId("Evaluation"),

@@ -14,19 +14,34 @@ wraparound is exactly the mod-2^n_log2 reduction the construction needs.
 Addition mod 2^n_log2 is associative and commutative, so the batched sum
 equals the record-by-record one bit for bit. Anything that reads the state
 (finalize, merge, limbs) flushes the pending batch first.
+
+The same property lets the hashing leave the process. An accumulator built
+with an MshPool keeps an immutable copy of each record instead of its XOF
+output and ships every full batch to one of the pool's worker processes,
+which hashes the records with the same XOF, reduces them with the same sum
+and answers with the batch's l limbs; the accumulator adds the answers up
+when its state is read. The caller still decides which bytes are measured
+and when; only the arithmetic over those bytes runs elsewhere, on every
+usable core, and the digest is byte-identical to the in-process one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import signal
+import struct
+import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .encoding import u64
-from .errors import ParamsMismatch
+from .errors import MshWorkerError, ParamsMismatch
 
 # Domain-separation prefix absorbed by the XOF before every record.
 HASH_DOMAIN = b"PALM-MSH-v1\x00"
@@ -34,7 +49,19 @@ HASH_DOMAIN = b"PALM-MSH-v1\x00"
 _DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
 
 # XOF outputs held back before one batched reduction: 128 KiB at m = 4096.
+# A pooled accumulator ships records to a worker in batches of the same size.
 FLUSH_RECORDS = 256
+
+# Batches a pool lets wait on each worker, so memory stays bounded by the
+# pool, not by the dataset, while no worker idles between two batches.
+IN_FLIGHT_PER_WORKER = 2
+
+# A worker that does not exit this long after being asked to is killed.
+STOP_TIMEOUT_S = 10.0
+
+# Request to a worker: u32 m, u32 record count, then one u32 length per
+# record, then the records back to back.
+_BATCH_HEAD = struct.Struct("<II")
 
 
 @dataclass(frozen=True)
@@ -78,6 +105,12 @@ def _xof(record: bytes, n_bytes: int) -> bytes:
     return hashlib.shake_256(HASH_DOMAIN + record).digest(n_bytes)
 
 
+def _batch_sum(xofs: bytes, params: MshParams) -> np.ndarray:
+    """Sum a (records x l) matrix of joined XOF outputs into l limbs mod 2^n_log2."""
+    batch = np.frombuffer(xofs, dtype=params.dtype).reshape(-1, params.l)
+    return batch.sum(axis=0, dtype=params.dtype)
+
+
 def hash_record(record: bytes, params: MshParams = DEFAULT_PARAMS) -> tuple[int, ...]:
     """Map one record to its limb vector (little-endian limbs, each < 2^n_log2)."""
     return tuple(int(x) for x in np.frombuffer(_xof(record, params.digest_bytes), dtype=params.dtype))
@@ -106,33 +139,57 @@ class MshDigest:
 
 
 class MshAccumulator:
-    """Running multiset hash; single-writer, mergeable with other accumulators."""
+    """Running multiset hash; single-writer, mergeable with other accumulators.
 
-    __slots__ = ("params", "_limbs", "_pending", "_xof_bytes", "count")
+    Without a pool every record is hashed in this process when it is
+    inserted. With a pool, inserted records are hashed by the pool's
+    workers, batch by batch; reading the state waits for every batch."""
 
-    def __init__(self, params: MshParams = DEFAULT_PARAMS):
+    __slots__ = ("params", "_limbs", "_pending", "_xof_bytes", "_pool", "_shipped", "count")
+
+    def __init__(self, params: MshParams = DEFAULT_PARAMS, pool: Optional["MshPool"] = None):
         self.params = params
         self._limbs = np.zeros(params.l, dtype=params.dtype)
-        self._pending: list[bytes] = []
+        self._pending: list[bytes] = []  # XOF outputs, or records when pooled
         self._xof_bytes = params.digest_bytes
+        self._pool = pool
+        self._shipped: deque[_Batch] = deque()
         self.count = 0
 
     def insert(self, record: bytes) -> "MshAccumulator":
         """Fold one record in; componentwise add of its limb vector mod 2^n_log2.
 
-        The record is hashed now; the addition joins the pending batch."""
-        self._pending.append(_xof(record, self._xof_bytes))
+        In process, the record is hashed now and the addition joins the
+        pending batch. Pooled, an immutable copy of the record joins it."""
+        if self._pool is None:
+            self._pending.append(_xof(record, self._xof_bytes))
+        else:
+            self._pending.append(bytes(record))
         self.count += 1
         if len(self._pending) >= FLUSH_RECORDS:
-            self._flush()
+            self._ship()
         return self
 
+    def _ship(self) -> None:
+        """Hand the pending batch on: reduce it here, or send it to the pool."""
+        if not self._pending:
+            return
+        if self._pool is None:
+            self._limbs += _batch_sum(b"".join(self._pending), self.params)
+        else:
+            self._shipped.append(self._pool.submit(self.params, self._pending))
+            while self._shipped and self._shipped[0].done():
+                self._add(self._shipped.popleft())
+        self._pending.clear()
+
+    def _add(self, batch: "_Batch") -> None:
+        self._limbs += np.frombuffer(self._pool.result(batch), dtype=self.params.dtype)
+
     def _flush(self) -> None:
-        """Add the pending limb vectors into the state with one reduction."""
-        if self._pending:
-            batch = np.frombuffer(b"".join(self._pending), dtype=self.params.dtype)
-            self._limbs += batch.reshape(-1, self.params.l).sum(axis=0, dtype=self.params.dtype)
-            self._pending.clear()
+        """Bring the state up to date with every record inserted so far."""
+        self._ship()
+        while self._shipped:
+            self._add(self._shipped.popleft())
 
     def insert_many(self, records: Iterable[bytes]) -> "MshAccumulator":
         for record in records:
@@ -167,7 +224,227 @@ class MshAccumulator:
 
 
 def msh_of_records(
-    records: Iterable[bytes], params: MshParams = DEFAULT_PARAMS
+    records: Iterable[bytes],
+    params: MshParams = DEFAULT_PARAMS,
+    pool: Optional["MshPool"] = None,
 ) -> MshDigest:
     """Digest a whole record stream in one pass (fold of insert)."""
-    return MshAccumulator(params).insert_many(records).finalize()
+    return MshAccumulator(params, pool).insert_many(records).finalize()
+
+
+# --------------------------------------------------------------------------
+# Worker pool
+
+
+def _hash_batch(request: bytes) -> bytes:
+    """Worker side: the l summed limbs of one request's records."""
+    m, count = _BATCH_HEAD.unpack_from(request)
+    root = math.isqrt(m)
+    params = MshParams(m, root, root)
+    lengths = struct.unpack_from(f"<{count}I", request, _BATCH_HEAD.size)
+    ends = list(accumulate(lengths, initial=_BATCH_HEAD.size + 4 * count))
+    if ends[-1] != len(request):
+        raise ValueError(f"batch of {len(request)} bytes declares {ends[-1]}")
+    n_bytes = params.digest_bytes
+    outputs = [_xof(request[start:end], n_bytes) for start, end in zip(ends, ends[1:])]
+    return _batch_sum(b"".join(outputs), params).tobytes()
+
+
+def _serve(conn) -> None:
+    """Worker main loop: answer batches until an empty request or EOF."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the pool's owner decides when to stop
+    while True:
+        try:
+            request = conn.recv_bytes()
+        except EOFError:
+            return
+        if not request:
+            return
+        conn.send_bytes(_hash_batch(request))
+
+
+class _Batch:
+    """One shipped batch, settled by its worker's reply or by the worker's loss."""
+
+    __slots__ = ("worker", "size", "reply", "error")
+
+    def __init__(self, worker: "_Worker", size: int):
+        self.worker = worker
+        self.size = size
+        self.reply: Optional[bytes] = None
+        self.error: Optional[MshWorkerError] = None
+
+    def done(self) -> bool:
+        return self.reply is not None or self.error is not None
+
+
+class _Worker:
+    """A worker process, its pipe, and the batches it has not answered yet,
+    in the order they were sent: a worker answers in order."""
+
+    def __init__(self, context, index: int):
+        conn, child_conn = context.Pipe()
+        self.process = context.Process(
+            target=_serve, args=(child_conn,), name=f"palm-msh-{index}", daemon=True
+        )
+        self.process.start()
+        child_conn.close()
+        self.conn = conn
+        self.unanswered: deque[_Batch] = deque()  # appended under the pool lock
+        self.recv_lock = threading.Lock()  # one reader at a time; only readers pop
+
+
+class MshPool:
+    """Worker processes that hash record batches for pooled accumulators.
+
+    One worker per usable core, started on first use through a forkserver:
+    the pool is started from server handler threads, and forking a process
+    that runs threads is unsafe. Requests and replies are raw bytes over one
+    pipe per worker, and batches go to the workers in rotation. At most
+    IN_FLIGHT_PER_WORKER batches wait on a worker; a thread that would send
+    it more first reads the worker's oldest reply. Replies are read by
+    the threads that need them, a batch's owner or a blocked sender, so no
+    extra thread competes for the interpreter. A worker that dies or answers
+    out of protocol fails every batch it held with MshWorkerError and is
+    replaced on the next submit. Safe to share between threads; close()
+    stops the workers, and a later submit starts new ones.
+
+    Like every forkserver or spawn child, a worker imports the program's
+    main module again, so a script that uses a pool must start it under
+    `if __name__ == "__main__":`.
+    """
+
+    def __init__(self):
+        self.size = len(os.sched_getaffinity(0))
+        self._lock = threading.Lock()  # guards _workers and every send
+        self._workers: list[_Worker] = []
+        self._started = 0
+        self._turn = 0  # batches go to the workers in rotation
+
+    def pids(self) -> list[int]:
+        with self._lock:
+            return [w.process.pid for w in self._workers]
+
+    def submit(self, params: MshParams, records: list[bytes]) -> _Batch:
+        """Ship one batch of records; result() gives its summed limbs."""
+        payload = b"".join(
+            [_BATCH_HEAD.pack(params.m, len(records)),
+             struct.pack(f"<{len(records)}I", *map(len, records)),
+             *records]
+        )
+        while True:
+            with self._lock:
+                ended = self._top_up()
+                worker = self._workers[self._turn % len(self._workers)]
+                batch = None
+                if len(worker.unanswered) < IN_FLIGHT_PER_WORKER:
+                    self._turn += 1
+                    batch = _Batch(worker, params.digest_bytes)
+                    worker.unanswered.append(batch)
+                    try:
+                        worker.conn.send_bytes(payload)
+                    except OSError:
+                        worker.process.kill()  # the next read fails what it held
+            self._retire(ended)
+            if batch is not None:
+                return batch
+            # The worker whose turn it is holds the oldest batches: wait for one.
+            self._read_one(worker)
+
+    def result(self, batch: _Batch) -> bytes:
+        """The batch's l summed limbs, as bytes; raises MshWorkerError if lost."""
+        while not batch.done():
+            self._read_one(batch.worker, batch)
+        if batch.error is not None:
+            raise batch.error
+        return batch.reply
+
+    def _top_up(self) -> list[_Worker]:
+        """Drop the workers that have exited, start new ones until there are
+        `size` of them, and return the dropped ones (holding the lock). An
+        idle worker's pipe reads as ready only once the worker is gone."""
+        # multiprocessing is imported on first use, so that a process that
+        # never hashes in a pool (a client, a verifier) does not pay for it.
+        import multiprocessing
+        from multiprocessing.connection import wait
+
+        ready = wait(
+            [w.process.sentinel for w in self._workers]
+            + [w.conn for w in self._workers if not w.unanswered],
+            timeout=0,
+        )
+        ended = [w for w in self._workers if w.process.sentinel in ready or w.conn in ready]
+        if ended:
+            self._workers = [w for w in self._workers if w not in ended]
+        if len(self._workers) < self.size:
+            context = multiprocessing.get_context("forkserver")
+            context.set_forkserver_preload(["__main__", __name__])
+            while len(self._workers) < self.size:
+                self._workers.append(_Worker(context, self._started))
+                self._started += 1
+        return ended
+
+    def _retire(self, workers: list[_Worker]) -> None:
+        """Reap dropped workers and fail what they held (not holding the lock)."""
+        for worker in workers:
+            with worker.recv_lock:
+                if not worker.conn.closed:
+                    self._lose(worker, None)
+
+    def _read_one(self, worker: _Worker, until: Optional[_Batch] = None) -> None:
+        """Settle the worker's oldest unanswered batch, unless there is none
+        or `until` got settled while this thread waited for its turn."""
+        from multiprocessing.connection import wait
+
+        with worker.recv_lock:
+            if not worker.unanswered or (until is not None and until.done()):
+                return
+            try:
+                if worker.conn not in wait([worker.conn, worker.process.sentinel]):
+                    raise EOFError
+                reply = worker.conn.recv_bytes()
+            except (EOFError, OSError):
+                self._lose(worker, None)
+                return
+            batch = worker.unanswered[0]
+            if len(reply) != batch.size:
+                self._lose(worker, f"answered {len(reply)} bytes, not {batch.size}")
+                return
+            worker.unanswered.popleft()
+            batch.reply = reply
+
+    def _lose(self, worker: _Worker, fault: Optional[str]) -> None:
+        """Retire a worker (holding its recv_lock) and fail what it held."""
+        with self._lock:
+            if worker in self._workers:
+                self._workers.remove(worker)
+        if worker.process.is_alive():
+            worker.process.kill()
+        worker.process.join()
+        error = MshWorkerError(
+            f"{worker.process.name} "
+            + (fault or f"exited with code {worker.process.exitcode}")
+            + f" holding {len(worker.unanswered)} batch(es)"
+        )
+        while worker.unanswered:
+            worker.unanswered.popleft().error = error
+        worker.conn.close()
+
+    def close(self) -> None:
+        """Stop every worker. A batch still unread fails with MshWorkerError."""
+        with self._lock:
+            workers, self._workers = self._workers, []
+            for worker in workers:
+                try:
+                    worker.conn.send_bytes(b"")
+                except OSError:
+                    pass
+        for worker in workers:
+            worker.process.join(STOP_TIMEOUT_S)
+        self._retire(workers)
+
+    def __enter__(self) -> "MshPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -29,6 +29,7 @@ import json
 import os
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -72,7 +73,7 @@ from .measurers import (
     measure_session_inference,
     measure_training,
 )
-from .msh import msh_of_records
+from .msh import MshPool, msh_of_records
 from .refstore import ReferenceStore
 from .toyops import ToyModel, ToyTokenizer, TrainConfig
 
@@ -197,7 +198,10 @@ class TdContext:
     """Everything the simulated trust domain holds: its measured identity,
     platform keys, a staging directory for untrusted inputs, and optionally
     an attesting accelerator. mapped_opener exists so harnesses can hand the
-    measurers a fault-injecting dataset handle."""
+    measurers a fault-injecting dataset handle. msh_pool, when set, hashes
+    every mapped epoch in worker processes; its owner (a serving
+    AttestationServer) stops it. Without one, everything runs in this
+    process."""
 
     image_bytes: bytes
     h_td: bytes
@@ -209,6 +213,7 @@ class TdContext:
     gpu_key: Optional[Ed25519PrivateKey] = None
     mapped_opener: Callable[[str], MappedDataset] = MappedDataset
     report_hook: Callable = staticmethod(lambda report: report)
+    msh_pool: Optional[MshPool] = None
 
     @classmethod
     def create(
@@ -277,13 +282,6 @@ class AttestationResponse:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
 
-def _open_dataset(ctx: TdContext, name: str, mode: str):
-    path = os.path.join(ctx.staging_dir, name)
-    if mode == "inmem":
-        return load_in_memory(path)
-    return ctx.mapped_opener(path)
-
-
 def _latin1(text, what: str) -> bytes:
     """Request text as the bytes the toy operations consume; text outside
     latin-1 (or not text at all) is a schema fault, not a crash."""
@@ -293,22 +291,36 @@ def _latin1(text, what: str) -> bytes:
         raise SchemaError(f"{what} is not latin-1 text: {exc}") from exc
 
 
-def _run_measurer(request: AttestationRequest, ctx: TdContext, gpu: Optional[GpuToken]) -> Measured:
+def _run_measurer(
+    request: AttestationRequest, ctx: TdContext, gpu: Optional[GpuToken], handles: ExitStack
+) -> Measured:
     op = request.op.name
     inputs = request.inputs
+    pool = ctx.msh_pool
+
+    def dataset(name: str):
+        """Open a staged dataset; a mapped handle is closed with `handles`."""
+        path = os.path.join(ctx.staging_dir, name)
+        if request.mode == "inmem":
+            return load_in_memory(path)
+        return handles.enter_context(ctx.mapped_opener(path))
+
     if op == "Preprocessing":
-        return measure_preprocessing(_open_dataset(ctx, inputs["dataset"], request.mode), gpu)
+        return measure_preprocessing(
+            dataset(inputs["dataset"]), gpu, pool, keep_output=not request.confidential
+        )
     if op == "AttributeDistribution":
-        return measure_attribute_distribution(_open_dataset(ctx, inputs["dataset"], request.mode), gpu)
+        return measure_attribute_distribution(dataset(inputs["dataset"]), gpu, pool)
     if op == "MeasurementBinding":
         return measure_binding(os.path.join(ctx.staging_dir, inputs["dataset"]))
     if op == "Training":
         return measure_training(
             inputs["arch"],
-            _open_dataset(ctx, inputs["dataset"], request.mode),
+            dataset(inputs["dataset"]),
             TrainConfig.from_json(inputs["train_config"]),
             ToyTokenizer.from_json(inputs["tokenizer"]),
             gpu,
+            pool,
         )
     if op == "WeightOptimization":
         adp = inputs.get("adapter")
@@ -319,15 +331,17 @@ def _run_measurer(request: AttestationRequest, ctx: TdContext, gpu: Optional[Gpu
             TrainConfig.from_json(inputs["train_config"]),
             inputs["id_opt"],
             adp=None if adp is None else ToyModel.from_json(adp),
-            ds_opt=None if ds_opt is None else _open_dataset(ctx, ds_opt, request.mode),
+            ds_opt=None if ds_opt is None else dataset(ds_opt),
             gpu=gpu,
+            pool=pool,
         )
     if op == "Evaluation":
         return measure_evaluation(
             ToyModel.from_json(inputs["model"]),
             ToyTokenizer.from_json(inputs["tokenizer"]),
-            _open_dataset(ctx, inputs["dataset"], request.mode),
+            dataset(inputs["dataset"]),
             gpu,
+            pool,
         )
     if op == "SingleInference":
         return measure_inference(
@@ -364,7 +378,8 @@ def prover_handle(request: AttestationRequest, ctx: TdContext) -> AttestationRes
     gpu = None
     if request.want_gpu and ctx.gpu_key is not None:
         gpu = gpu_attest(ctx.gpu_state, request.chal.digest(), ctx.gpu_key)
-    measured = _run_measurer(request, ctx, gpu)
+    with ExitStack() as handles:
+        measured = _run_measurer(request, ctx, gpu, handles)
     rd = build_report_data(request.chal, measured.mset)
     report = create_td_report(ctx.h_td, H_MODULE, rd, ctx.mac_key)
     report = ctx.report_hook(report)

@@ -10,6 +10,7 @@ and their integrity rests on the quote, not the channel.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import socket
@@ -19,6 +20,7 @@ import threading
 from typing import Optional
 
 from .errors import FormatError, PalmError
+from .msh import MshPool
 from .protocol import AttestationRequest, AttestationResponse, TdContext, prover_handle
 
 MAX_FRAME = 64 * 1024 * 1024
@@ -102,14 +104,30 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 class AttestationServer(socketserver.ThreadingTCPServer):
-    """Serves prover_handle over TCP; one thread per connection."""
+    """Serves prover_handle over TCP; one thread per connection.
+
+    The server owns an MshPool that hashes mapped epochs on every core. It
+    proves with a copy of the given context that carries the pool, so the
+    caller's context keeps the in-process path. The pool starts its workers
+    on the first mapped request; shutdown and server_close stop them. The
+    workers import the main module again, so a script that serves must do
+    so under `if __name__ == "__main__":`."""
 
     allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, endpoint: tuple[str, int], td_context: TdContext):
         super().__init__(endpoint, _Handler)
-        self.td_context = td_context
+        self.msh_pool = MshPool()
+        self.td_context = dataclasses.replace(td_context, msh_pool=self.msh_pool)
+
+    def shutdown(self) -> None:
+        super().shutdown()
+        self.msh_pool.close()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self.msh_pool.close()
 
     @property
     def endpoint(self) -> tuple[str, int]:

@@ -1,8 +1,10 @@
+import multiprocessing
 import random
 
 import pytest
 
 from palm.dataset import write_dataset
+from palm.msh import MshPool
 from palm.toyops import ToyTokenizer, TrainConfig, train
 
 CORPUS = [
@@ -49,3 +51,17 @@ def rng():
 
 def random_records(rng, n, lo=16, hi=96):
     return [rng.randbytes(rng.randint(lo, hi)) for _ in range(n)]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_worker_outlives_the_session():
+    """Every worker process a test or a server started must be stopped."""
+    yield
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(scope="session")
+def msh_pool():
+    """One multiset-hash worker pool shared by the whole session."""
+    with MshPool() as pool:
+        yield pool

@@ -172,3 +172,57 @@ class TestTamper:
         write_dataset(path, corpus)
         with pytest.raises(IndexOutOfRange):
             tamper_record(path, 99, b"x")
+
+
+class TestReadsWithPread:
+    """Mapped records are read with os.pread on the handle's file."""
+
+    def test_scan_in_small_chunks_finds_every_record(self, tmp_path, corpus):
+        from unittest import mock
+
+        from palm import dataset
+
+        path = tmp_path / "d.palmds"
+        write_dataset(path, corpus)
+        with mock.patch.object(dataset, "SCAN_CHUNK", dataset.HEADER_LEN):
+            with MappedDataset(path) as ds:
+                got = [ds.sample_record(i) for i in range(len(ds))]
+                assert finish_epoch(ds).multiset == msh_of_records(corpus)
+            assert got == corpus
+            path.write_bytes(pack_records(corpus)[:-3])
+            with pytest.raises(FormatError, match="truncated record bytes"):
+                MappedDataset(path)
+
+    def test_file_shrunk_mid_epoch_is_a_format_error(self, tmp_path):
+        """Run in a child process: reading a record the file no longer holds
+        must raise FormatError, where a memory mapping dies of SIGBUS."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        import palm
+
+        path = tmp_path / "big.palmds"
+        write_dataset(path, [bytes([65 + i]) * 1000 for i in range(20)])  # several pages
+        script = textwrap.dedent(
+            f"""
+            import os
+            from palm.dataset import MappedDataset
+            from palm.errors import FormatError
+            with MappedDataset({str(path)!r}) as ds:
+                ds.sample_record(0)
+                os.truncate({str(path)!r}, 100)
+                try:
+                    ds.sample_record(len(ds) - 1)
+                except FormatError as exc:
+                    print("FormatError:", exc)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(palm.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert child.returncode == 0, f"child exited with {child.returncode}: {child.stderr}"
+        assert child.stdout.startswith("FormatError: record 19 truncated on disk")

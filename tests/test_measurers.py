@@ -1,10 +1,12 @@
 """Measurement-set assembly: label schemas, mode resolution, determinism."""
 
 import hashlib
+from unittest import mock
 
 import pytest
 
 from palm import measurers
+from palm import msh
 from palm.dataset import (
     MappedDataset,
     load_in_memory,
@@ -14,6 +16,7 @@ from palm.dataset import (
 )
 from palm.encoding import sha3_256
 from palm.errors import DuplicateAccess, FormatError, IncompleteEpoch, UnknownOptimization
+from palm.errors import PalmError
 from palm.measurers import (
     GpuToken,
     MeasurementSet,
@@ -389,3 +392,86 @@ class TestPayloadsOnDemand:
         m = measure_training("bigram", load_in_memory(dataset_path), config, tokenizer)
         assert m.mset.h_o[0].data == sha3_256(m.outputs["h(Mtr)"])
         assert calls.count(True) == 1  # the trained model; the other call is empty Mar
+
+
+# --------------------------------------------------------------------------
+# The same streamed epochs with their multiset hashes computed by a worker
+# pool: the parent still samples, claims and consumes every record once.
+
+POOLED_OPS = {
+    "Preprocessing": lambda m, t, ds, pool: measure_preprocessing(ds, pool=pool),
+    "AttributeDistribution": lambda m, t, ds, pool: measure_attribute_distribution(ds, pool=pool),
+    "Evaluation": lambda m, t, ds, pool: measure_evaluation(m, t, ds, pool=pool),
+}
+
+
+@pytest.mark.parametrize("op", sorted(POOLED_OPS))
+class TestPooledEpochFailsClosed:
+    def test_clean_stream_matches_in_process(self, op, eval_path, model, tokenizer, msh_pool):
+        """Batches of two put several batch boundaries inside the epoch."""
+        with MappedDataset(eval_path) as ds:
+            in_process = STREAMED_OPS[op][0](model, tokenizer, ds)
+        with mock.patch.object(msh, "FLUSH_RECORDS", 2), MappedDataset(eval_path) as ds:
+            pooled = POOLED_OPS[op](model, tokenizer, ds, msh_pool)
+        assert pooled.mset == in_process.mset
+        assert pooled.mset.h_i[-1].data == msh_of_records(EVAL_RECORDS).encode()
+        assert pooled.outputs == in_process.outputs
+
+    def test_record_served_twice(self, op, eval_path, model, tokenizer, msh_pool):
+        with _ReServingDataset(eval_path) as ds, pytest.raises(DuplicateAccess):
+            POOLED_OPS[op](model, tokenizer, ds, msh_pool)
+
+    def test_record_withheld(self, op, eval_path, model, tokenizer, msh_pool):
+        with _ShortDataset(eval_path) as ds, pytest.raises(IncompleteEpoch) as exc:
+            POOLED_OPS[op](model, tokenizer, ds, msh_pool)
+        assert exc.value.missing_indices == [len(EVAL_RECORDS) - 1]
+
+    def test_tamper_mid_epoch_is_what_gets_measured(self, op, eval_path, model, tokenizer,
+                                                    msh_pool):
+        with _TamperAfterFirstDataset(eval_path) as ds:
+            m = POOLED_OPS[op](model, tokenizer, ds, msh_pool)
+        seen = EVAL_RECORDS[:-1] + [_tampered(len(EVAL_RECORDS[-1]))]
+        assert m.mset.h_i[-1].data == msh_of_records(seen).encode()
+        assert list(m.outputs.values()) == [STREAMED_OPS[op][2](model, tokenizer, seen)]
+
+
+class TestPooledMultiEpochOps:
+    def test_training_matches_in_process(self, dataset_path, tokenizer, config, msh_pool):
+        with MappedDataset(dataset_path) as ds:
+            in_process = measure_training("bigram", ds, config, tokenizer)
+        with MappedDataset(dataset_path) as ds:
+            pooled = measure_training("bigram", ds, config, tokenizer, pool=msh_pool)
+        assert pooled.mset == in_process.mset
+
+    def test_finetune_matches_in_process(self, model, tokenizer, config, tmp_path, corpus,
+                                         msh_pool):
+        path = tmp_path / "opt.palmds"
+        write_dataset(path, corpus[:7])
+        with MappedDataset(path) as ds:
+            in_process = measure_optimization(model, tokenizer, config, "finetune", ds_opt=ds)
+        with MappedDataset(path) as ds:
+            pooled = measure_optimization(model, tokenizer, config, "finetune", ds_opt=ds,
+                                          pool=msh_pool)
+        assert pooled.mset == in_process.mset
+
+
+class TestConfidentialPreprocessingKeepsNothing:
+    @pytest.mark.parametrize("mapped", [False, True], ids=["inmem", "mapped"])
+    def test_same_measurements_no_records(self, dataset_path, mapped, monkeypatch, msh_pool):
+        def measure(**kwargs):
+            if not mapped:
+                return measure_preprocessing(load_in_memory(dataset_path), **kwargs)
+            with MappedDataset(dataset_path) as ds:
+                return measure_preprocessing(ds, **kwargs)
+
+        shown = measure()
+        kept = []
+        real = measurers._kept
+        monkeypatch.setattr(measurers, "_kept", lambda into, items: kept.append(1) or real(into, items))
+        for pool in (None, msh_pool):
+            hidden = measure(pool=pool, keep_output=False)
+            assert hidden.mset == shown.mset
+            assert hidden.result is None
+            with pytest.raises(PalmError, match="not kept"):
+                hidden.outputs
+        assert kept == []

@@ -13,6 +13,7 @@ from palm.msh import (
     FLUSH_RECORDS,
     HASH_DOMAIN,
     MshAccumulator,
+    MshDigest,
     MshParams,
     hash_record,
     msh_of_records,
@@ -222,3 +223,142 @@ class TestBatchedReduction:
         acc = MshAccumulator().insert(record)
         record[:] = b"changed later!"
         assert acc.finalize() == msh_of_records([b"mutable record"])
+
+
+class TestPooledAccumulator:
+    """An accumulator built with a pool ships its records to worker processes;
+    the digest must equal the in-process one and the oracle's, bit for bit."""
+
+    @given(
+        st.sampled_from(LEGAL_PARAMS),
+        st.lists(st.binary(max_size=40), max_size=40),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pooled_equals_in_process_equals_oracle(self, msh_pool, params, records, batch):
+        """Batches of one to five records put many batch boundaries, and the
+        in-flight cap, inside one digest."""
+        with mock.patch.object(msh, "FLUSH_RECORDS", batch):
+            pooled = msh_of_records(records, params, msh_pool)
+        assert pooled == msh_of_records(records, params)
+        assert list(pooled.limbs) == oracle_msh_params(records, params.l, params.n_log2)
+        assert pooled.count == len(records)
+
+    @pytest.mark.parametrize("params", LEGAL_PARAMS, ids=lambda p: p.param_id)
+    @pytest.mark.parametrize("n", [0, FLUSH_RECORDS - 1, FLUSH_RECORDS, 2 * FLUSH_RECORDS + 5])
+    def test_real_batch_boundaries(self, msh_pool, params, n):
+        records = [b"r%d" % (i % 700) for i in range(n)]
+        pooled = msh_of_records(records, params, msh_pool)
+        assert pooled == msh_of_records(records, params)
+        assert list(pooled.limbs) == oracle_msh_params(records, params.l, params.n_log2)
+
+    def test_reads_and_merges_mid_stream(self, msh_pool):
+        records = [b"x%d" % i for i in range(20)]
+        with mock.patch.object(msh, "FLUSH_RECORDS", 3):
+            acc = MshAccumulator(pool=msh_pool)
+            for i, record in enumerate(records, start=1):
+                acc.insert(record)
+                if i in (1, 3, 7, 20):
+                    assert list(acc.limbs) == oracle_msh(records[:i])[0]
+                    assert acc.finalize().count == i
+            merged = acc.merge(MshAccumulator().insert_many([b"extra"]))
+        assert merged.finalize() == msh_of_records([*records, b"extra"])
+
+    def test_threads_share_one_pool(self, msh_pool):
+        """More threads than workers, tiny batches and a short switch interval
+        keep every thread contending for the in-flight cap and the replies;
+        a reply settled on the wrong batch would change some digest."""
+        import sys
+        import threading
+
+        streams = [[b"t%d-r%d" % (t, i) for i in range(60 + 7 * t)] for t in range(4)]
+        digests: dict[int, MshDigest] = {}
+
+        def digest(t: int) -> None:
+            digests[t] = msh_of_records(streams[t], pool=msh_pool)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(msh, "FLUSH_RECORDS", 2):
+                threads = [threading.Thread(target=digest, args=(t,)) for t in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert digests == {t: msh_of_records(stream) for t, stream in enumerate(streams)}
+
+    def test_insert_snapshots_the_bytes_given(self, msh_pool):
+        record = bytearray(b"mutable record")
+        acc = MshAccumulator(pool=msh_pool).insert(record)
+        record[:] = b"changed later!"
+        assert acc.finalize() == msh_of_records([b"mutable record"])
+
+
+def _wait_gone(pid: int, timeout: float = 10.0) -> None:
+    """Wait until a killed process has released its files: it is a zombie or reaped."""
+    import time
+
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                if f.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return
+        except FileNotFoundError:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} still running {timeout}s after SIGKILL")
+
+
+class TestPoolFaults:
+    """A worker that dies or answers out of protocol fails its batches with a
+    PalmError at once, and the pool serves the next digest with new workers.
+    Each test runs its own pool, so the session's stays whole."""
+
+    def test_killed_worker_fails_its_batches(self):
+        import os
+        import signal
+
+        from palm.errors import MshWorkerError
+
+        with msh.MshPool() as pool:
+            assert msh_of_records([b"warm"], pool=pool) == msh_of_records([b"warm"])
+            pids = pool.pids()
+            acc = MshAccumulator(pool=pool)
+            with mock.patch.object(msh, "FLUSH_RECORDS", 2):
+                for pid in pids:  # stopped workers cannot answer before the kill
+                    os.kill(pid, signal.SIGSTOP)
+                acc.insert_many([b"a", b"b", b"c", b"d"])
+                for pid in pids:
+                    os.kill(pid, signal.SIGKILL)
+                with pytest.raises(MshWorkerError, match="exited with code -9"):
+                    acc.finalize()
+            for pid in pids:
+                _wait_gone(pid)
+            assert msh_of_records([b"a", b"b"], pool=pool) == msh_of_records([b"a", b"b"])
+            assert not set(pool.pids()) & set(pids)
+
+    def test_out_of_protocol_reply_fails_the_batch(self):
+        from palm.errors import MshWorkerError
+
+        with msh.MshPool() as pool:
+            batch = pool.submit(LEGAL_PARAMS[0], [b"x"])  # answers 8 bytes
+            batch.size = DEFAULT_PARAMS.digest_bytes  # but 512 are expected
+            with pytest.raises(MshWorkerError, match="answered 8 bytes"):
+                pool.result(batch)
+            assert msh_of_records([b"y"], pool=pool) == msh_of_records([b"y"])
+
+    def test_close_stops_every_worker(self):
+        import multiprocessing
+
+        pool = msh.MshPool()
+        msh_of_records([b"z"], pool=pool)
+        pids = pool.pids()
+        assert len(pids) == pool.size
+        pool.close()
+        assert pool.pids() == []
+        assert not {p.pid for p in multiprocessing.active_children()} & set(pids)

@@ -1,5 +1,7 @@
 """Protocol pipeline: request schemas, verdict checks, binding, transport."""
 
+import os
+import signal
 import socket
 import struct
 
@@ -8,9 +10,11 @@ import pytest
 from palm.adversary import build_clean_fixture
 from palm.attestation import Challenge, derive_private_key
 from palm.dataset import write_dataset
+from palm.dataset import MappedDataset
 from palm.encoding import sha3_256
 from palm.errors import PalmError, SchemaError
 from palm.measurers import GpuToken, LabeledMeasurement, MeasurementSet
+from palm.msh import msh_of_records
 from palm.protocol import (
     AttestationRequest,
     AttestationResponse,
@@ -19,6 +23,7 @@ from palm.protocol import (
     prover_handle,
 )
 from palm.refstore import ReferenceStore
+from palm.toyops import preproc_record
 from palm.transport import (
     MSG_ERROR,
     MSG_REQUEST,
@@ -438,3 +443,159 @@ class TestNonLatin1Text:
         finally:
             server.shutdown()
         assert "prover failed on a request" in caplog.text
+
+
+class TestDatasetHandlesClosed:
+    """prover_handle closes each mapped dataset it opens, on success and on
+    failure, instead of leaving it to the garbage collector."""
+
+    @pytest.mark.parametrize("scenario", ["clean", "SkipRecord"])
+    def test_no_unclosed_file(self, fixture, scenario):
+        import gc
+        import warnings
+
+        from palm.adversary import adversary_run, clean_run
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            if scenario == "clean":
+                assert clean_run(fixture).accepted
+            else:
+                assert adversary_run(scenario, fixture).prover_error == "IncompleteEpoch"
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+def _corpus(n: int) -> list[bytes]:
+    words = [b"Alpha", b"beta", b"GAMMA", b"delta", b"Epsilon"]
+    return [b" ".join(words[(i + j) % 5] for j in range(1 + i % 4)) + b" #%d" % i
+            for i in range(n)]
+
+
+class _StopThenKillWorkers(MappedDataset):
+    """Stops every pool worker before the first record, so no batch can be
+    answered, and kills them all once two batches are out."""
+
+    pool = None
+
+    def sample_record(self, index, into=None):
+        if index in (0, 300):
+            for pid in self.pool.pids():
+                os.kill(pid, signal.SIGSTOP if index == 0 else signal.SIGKILL)
+        return super().sample_record(index, into)
+
+
+class TestServerPool:
+    """A server hashes mapped epochs in its worker pool."""
+
+    N = 600  # more than two batches of FLUSH_RECORDS
+
+    @pytest.fixture
+    def staged(self, fixture):
+        records = _corpus(self.N)
+        write_dataset(os.path.join(fixture.workdir, "big.palmds"), records)
+        fixture.refstore.add_property_ref("Preprocessing", "MSH(D)",
+                                          msh_of_records(records).encode())
+        fixture.refstore.add_property_ref("Preprocessing", "MSH(Dpre)",
+                                          msh_of_records(map(preproc_record, records)).encode())
+        return records
+
+    def _preprocessing(self, tag: str) -> AttestationRequest:
+        return build_request("Preprocessing", {"dataset": "big.palmds"}, nonce_chal(tag),
+                             mode="mapped", want_gpu=True)
+
+    def test_caller_context_stays_in_process(self, fixture, ctx, verifier):
+        server = serve_background(("127.0.0.1", 0), ctx)
+        try:
+            assert ctx.msh_pool is None
+            assert server.td_context.msh_pool is server.msh_pool
+            req = build_request(
+                "SingleInference",
+                {"model": TestNonLatin1Text.MODEL, "tokenizer": fixture.tokenizer.to_json(),
+                 "query": "snow"},
+                nonce_chal("no-pool"),
+            )
+            assert verifier.verify(request_over_tcp(server.endpoint, req, timeout=30), req).accepted
+            assert server.msh_pool.pids() == []  # a request with no mapped epoch starts nothing
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_concurrent_mapped_requests_accept(self, fixture, ctx, staged):
+        import threading
+
+        server = serve_background(("127.0.0.1", 0), ctx)
+        requests = [self._preprocessing(f"concurrent-{i}") for i in range(2)]
+        responses: dict = {}
+
+        def send(req):
+            responses[req.chal.nonce] = request_over_tcp(server.endpoint, req, timeout=60)
+
+        try:
+            threads = [threading.Thread(target=send, args=(req,)) for req in requests]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(90)
+            assert not any(t.is_alive() for t in threads)
+            assert len(server.msh_pool.pids()) == server.msh_pool.size
+        finally:
+            server.shutdown()
+            server.server_close()
+        for req in requests:
+            response = responses[req.chal.nonce]
+            verdict = Verifier(fixture.refstore).verify(response, req)
+            assert verdict.accepted, verdict.reason
+            assert verdict.checks[-1].detail == "2 measurement(s) checked against references"
+            assert response.canonical_bytes() == prover_handle(req, ctx).canonical_bytes()
+
+    def test_killed_worker_is_an_error_frame_then_served(self, fixture, ctx, verifier, staged):
+        server = serve_background(("127.0.0.1", 0), ctx)
+        try:
+            warm = self._preprocessing("before")
+            assert verifier.verify(request_over_tcp(server.endpoint, warm, timeout=30), warm).accepted
+            _StopThenKillWorkers.pool = server.msh_pool
+            server.td_context.mapped_opener = _StopThenKillWorkers
+            with pytest.raises(PalmError, match=r"^server error: MshWorkerError: .*code -9"):
+                request_over_tcp(server.endpoint, self._preprocessing("killed"), timeout=30)
+            server.td_context.mapped_opener = MappedDataset
+            after = self._preprocessing("after")
+            assert verifier.verify(request_over_tcp(server.endpoint, after, timeout=30),
+                                   after).accepted
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_no_worker_outlives_server_close(self, fixture, ctx, staged):
+        import multiprocessing
+
+        server = serve_background(("127.0.0.1", 0), ctx)
+        try:
+            request_over_tcp(server.endpoint, self._preprocessing("close"), timeout=30)
+            pids = server.msh_pool.pids()
+            assert len(pids) == server.msh_pool.size
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert server.msh_pool.pids() == []
+        assert not {p.pid for p in multiprocessing.active_children()} & set(pids)
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+class TestPooledAdversary:
+    def test_mid_epoch_tamper_rejected_with_pool(self, fixture, msh_pool):
+        from palm.adversary import _MidEpochTamperDataset
+
+        ctx = fixture.make_context()
+        ctx.msh_pool = msh_pool
+        clean = fixture.make_request("pooled-clean")
+        verdict = Verifier(fixture.refstore).verify(prover_handle(clean, ctx), clean)
+        assert verdict.accepted, verdict.reason
+
+        last = len(fixture.records) - 1
+        ctx.mapped_opener = lambda path: _MidEpochTamperDataset(path, 4, last)
+        tampered = fixture.make_request("pooled-tamper")
+        verdict = Verifier(fixture.refstore).verify(prover_handle(tampered, ctx), tampered)
+        assert verdict.reason == "ReferenceMismatch"
