@@ -47,6 +47,7 @@ from .attestation import (
     measure_td_image,
     qe_sign_quote,
     verify_gpu_token,
+    verify_quote,
 )
 from .dataset import MappedDataset, load_in_memory, unpack_records
 from .encoding import sha3_256
@@ -454,8 +455,8 @@ class Verifier:
         if pubkey is None:
             raise _Fail("SignatureInvalid", f"no registered key {quote.qe_key_id!r}")
         try:
-            pubkey.verify(quote.signature, quote.signed_body())
-        except Exception:
+            verify_quote(response.quote, pubkey)
+        except SignatureInvalid:
             raise _Fail("SignatureInvalid", "signature does not verify")
         return quote, f"verified under {quote.qe_key_id}"
 

@@ -14,8 +14,13 @@ reserved for out-of-vocabulary tokens.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .encoding import lp, u32, u64
 from .errors import FormatError, MissingDataset, UnknownOptimization
@@ -29,6 +34,8 @@ PREPROC_MAX_LEN = 256
 OPTIMIZATIONS = ("finetune", "quantize", "prune")
 MODEL_KINDS = ("unigram", "bigram")
 _KIND_BYTE = {"unigram": 1, "bigram": 2}
+
+_pack_u32 = struct.Struct("<I").pack
 
 
 def _tokenize(record: bytes) -> list[str]:
@@ -59,19 +66,24 @@ class ToyTokenizer:
     def encode(self, text: bytes) -> list[int]:
         return [self.vocab.get(tok, UNK_ID) for tok in _tokenize(text)]
 
-    def decode_id(self, token_id: int) -> str:
+    @cached_property
+    def _tokens_by_id(self) -> list[str]:
+        tokens = [UNK_TOKEN] * len(self.vocab)
         for tok, tid in self.vocab.items():
-            if tid == token_id:
-                return tok
+            tokens[tid] = tok
+        return tokens
+
+    def decode_id(self, token_id: int) -> str:
+        if 0 <= token_id < len(self._tokens_by_id):
+            return self._tokens_by_id[token_id]
         return UNK_TOKEN
 
     def serialized_bytes(self) -> bytes:
         """u32 entry count, then (length-prefixed token, u32 id) sorted by token."""
-        out = bytearray(u32(len(self.vocab)))
-        for tok in sorted(self.vocab, key=lambda t: t.encode("latin-1")):
-            out += lp(tok.encode("latin-1"))
-            out += u32(self.vocab[tok])
-        return bytes(out)
+        entries = sorted((tok.encode("latin-1"), tid) for tok, tid in self.vocab.items())
+        return u32(len(entries)) + b"".join(
+            [_pack_u32(len(tok)) + tok + _pack_u32(tid) for tok, tid in entries]
+        )
 
     def to_json(self) -> dict:
         return {"vocab": dict(sorted(self.vocab.items()))}
@@ -92,8 +104,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.sampling not in ("sequential", "shuffled"):
             raise ValueError(f"unknown sampling {self.sampling!r}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
+        if not 0 <= self.epochs < 2**32:
+            raise ValueError(f"epochs {self.epochs} outside [0, 2**32)")
 
     def serialized_bytes(self) -> bytes:
         tag = 0 if self.sampling == "sequential" else 1
@@ -107,75 +121,195 @@ class TrainConfig:
         return cls(int(doc["seed"]), int(doc["epochs"]), str(doc["sampling"]))
 
 
-@dataclass(frozen=True)
 class ToyModel:
-    """Count table keyed by context id; prediction is argmax with lowest-id ties.
+    """Count table sorted by (context, token); prediction is argmax with lowest-id ties.
 
     A unigram model keeps all counts under context 0; a bigram model keys
     them by the previous token id, with 0 doubling as the start context.
+
+    The table is columnar. `tokens` (u32) and `freqs` (u64) hold one row per
+    (context, token) entry, sorted by context and then token; `contexts`
+    (u32) lists the context ids in order and `starts` (one longer) bounds
+    each context's run of rows. A context may have no rows: the dict form
+    `ToyModel(kind, {ctx: {}})` serialises its header, so the table keeps it.
+    `counts` is the dict form, built when read.
     """
 
-    kind: str
-    counts: dict[int, dict[int, int]] = field(default_factory=dict)
+    __slots__ = ("kind", "contexts", "starts", "tokens", "freqs")
 
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+    def __init__(self, kind: str, counts: Optional[dict[int, dict[int, int]]] = None):
+        counts = counts or {}
+        contexts = sorted(counts)
+        entries = [sorted(counts[ctx].items()) for ctx in contexts]
+        self._fill(
+            kind,
+            contexts,
+            [len(e) for e in entries],
+            (tid for e in entries for tid, _ in e),
+            (n for e in entries for _, n in e),
+        )
+
+    def _fill(
+        self, kind: str, contexts: list, sizes: list, tokens: Iterable, freqs: Iterable
+    ) -> None:
+        """Set the table from Python ints in row order, range-checking each column."""
+        _check_kind(kind)
+        self.kind = kind
+        self.starts = np.zeros(len(contexts) + 1, np.int64)
+        np.cumsum(sizes, out=self.starts[1:])
+        self.contexts = _column(contexts, np.uint32, len(contexts), "context id")
+        self.tokens = _column(tokens, np.uint32, self.starts[-1], "token id")
+        self.freqs = _column(freqs, np.uint64, self.starts[-1], "count")
+
+    @classmethod
+    def _from_rows(cls, kind, ctx, tokens, freqs, contexts=None) -> "ToyModel":
+        """A model over rows already sorted by (context, token). `contexts`, a
+        sorted superset of the rows' context ids, adds contexts with no rows."""
+        model = cls.__new__(cls)
+        model.kind = kind
+        contexts = np.unique(ctx) if contexts is None else contexts
+        model.contexts = contexts.astype(np.uint32, copy=False)
+        model.starts = np.append(np.searchsorted(ctx, model.contexts), len(ctx)).astype(np.int64)
+        model.tokens = tokens.astype(np.uint32, copy=False)
+        model.freqs = freqs.astype(np.uint64, copy=False)
+        return model
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(context, token, count) columns, one entry per row."""
+        return np.repeat(self.contexts, np.diff(self.starts)), self.tokens, self.freqs
 
     @classmethod
     def empty(cls, kind: str) -> "ToyModel":
         return cls(kind, {})
 
+    @property
+    def counts(self) -> dict[int, dict[int, int]]:
+        tokens, freqs, starts = self.tokens.tolist(), self.freqs.tolist(), self.starts.tolist()
+        return {
+            ctx: dict(zip(tokens[lo:hi], freqs[lo:hi]))
+            for ctx, lo, hi in zip(self.contexts.tolist(), starts, starts[1:])
+        }
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ToyModel):
+            return NotImplemented
+        return self.kind == other.kind and all(
+            np.array_equal(getattr(self, col), getattr(other, col))
+            for col in ("contexts", "starts", "tokens", "freqs")
+        )
+
+    def __repr__(self) -> str:
+        return f"ToyModel({self.kind!r}, {len(self.contexts)} contexts, {len(self.tokens)} entries)"
+
     def predict(self, context: int) -> int:
         """Most frequent token for the context; ties to the lowest id; empty → 0."""
         key = 0 if self.kind == "unigram" else context
-        table = self.counts.get(key)
-        if not table:
+        i = int(np.searchsorted(self.contexts, key))
+        if i == len(self.contexts) or self.contexts[i] != key:
             return UNK_ID
-        return max(table, key=lambda tid: (table[tid], -tid))
+        lo, hi = self.starts[i], self.starts[i + 1]
+        if lo == hi:
+            return UNK_ID
+        return int(self.tokens[lo + np.argmax(self.freqs[lo:hi])])
 
     def serialized_bytes(self) -> bytes:
-        """Kind byte, u32 context count, per context u32 id + sorted u64 counts."""
-        out = bytearray([_KIND_BYTE[self.kind]])
-        out += u32(len(self.counts))
-        for ctx in sorted(self.counts):
-            entries = self.counts[ctx]
-            out += u32(ctx)
-            out += u32(len(entries))
-            for tid in sorted(entries):
-                out += u32(tid)
-                out += u64(entries[tid])
-        return bytes(out)
+        """Kind byte, u32 context count, per context u32 id + sorted u64 counts.
+
+        After the first five bytes everything is a little-endian u32 word:
+        two per context header (id, entry count), then three per entry
+        (token, low and high half of the count)."""
+        n_ctx, n = len(self.contexts), len(self.tokens)
+        words = np.empty(2 * n_ctx + 3 * n, "<u4")
+        header = np.zeros(len(words), bool)
+        at = 2 * np.arange(n_ctx) + 3 * self.starts[:-1]
+        header[at] = header[at + 1] = True
+        words[at] = self.contexts
+        words[at + 1] = np.diff(self.starts)
+        entries = np.empty((n, 3), "<u4")
+        entries[:, 0] = self.tokens
+        entries[:, 1:] = np.asarray(self.freqs, "<u8").view("<u4").reshape(n, 2)
+        words[~header] = entries.reshape(-1)
+        return b"".join((bytes([_KIND_BYTE[self.kind]]), u32(n_ctx), words))
 
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
             "counts": {
-                str(ctx): {str(tid): n for tid, n in sorted(entries.items())}
-                for ctx, entries in sorted(self.counts.items())
+                str(ctx): {str(tid): n for tid, n in entries.items()}
+                for ctx, entries in self.counts.items()
             },
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "ToyModel":
+        """Decode in document order, then sort unless already sorted. Frames
+        sort their keys as strings, so "10" arrives before "9". Ids named
+        twice ("1" and "01") go through the dict constructor: the later wins."""
+        kind = str(doc["kind"])
+        counts = doc["counts"]
+        model = cls.__new__(cls)
+        model._fill(
+            kind,
+            [int(ctx) for ctx in counts],
+            [len(entries) for entries in counts.values()],
+            map(int, chain.from_iterable(counts.values())),
+            map(int, chain.from_iterable(map(dict.values, counts.values()))),
+        )
+        if model._sorted():
+            return model
+        ctx, tokens, freqs = model._rows()
+        order = np.argsort((ctx.astype(np.uint64) << 32) | tokens)
+        model = cls._from_rows(
+            kind, ctx[order], tokens[order], freqs[order], np.sort(model.contexts)
+        )
+        if model._sorted():
+            return model
         return cls(
-            str(doc["kind"]),
+            kind,
             {
                 int(ctx): {int(tid): int(n) for tid, n in entries.items()}
-                for ctx, entries in doc["counts"].items()
+                for ctx, entries in counts.items()
             },
         )
 
+    def _sorted(self) -> bool:
+        """Contexts strictly increase, and so do the tokens within each context."""
+        rising = self.tokens[1:] > self.tokens[:-1]
+        bounds = self.starts[1:-1]
+        rising[bounds[(bounds > 0) & (bounds < len(self.tokens))] - 1] = True
+        return bool(np.all(self.contexts[1:] > self.contexts[:-1]) and np.all(rising))
 
-def _copy_counts(counts: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
-    return {ctx: dict(entries) for ctx, entries in counts.items()}
+
+def _check_kind(kind: str) -> None:
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
 
 
-def _add_counts(into: dict[int, dict[int, int]], frm: dict[int, dict[int, int]]) -> None:
-    for ctx, entries in frm.items():
-        table = into.setdefault(ctx, {})
-        for tid, n in entries.items():
-            table[tid] = table.get(tid, 0) + n
+def _column(values: Iterable, dtype, count: int, what: str) -> np.ndarray:
+    """Python ints as a numpy column; a value outside the dtype's range is a ValueError."""
+    try:
+        return np.fromiter(values, dtype, count)
+    except OverflowError:
+        bits = np.dtype(dtype).itemsize * 8
+        raise ValueError(f"{what} outside [0, 2**{bits})") from None
+
+
+def _summed(kind: str, models: Sequence[ToyModel]) -> ToyModel:
+    """Entry-wise sum over the union of the models' contexts; a sum past u64 raises."""
+    ctx, tokens, freqs = (np.concatenate(col) for col in zip(*(m._rows() for m in models)))
+    keys = (ctx.astype(np.uint64) << 32) | tokens
+    order = np.argsort(keys)
+    keys, first = np.unique(keys[order], return_index=True)
+    freqs = freqs[order]
+    if len(freqs):
+        # Exact u64 sums: add the high and low 32-bit halves apart.
+        high = np.add.reduceat(freqs >> 32, first)
+        low = np.add.reduceat(freqs & 0xFFFFFFFF, first)
+        if np.any((high + (low >> 32)) >> 32):
+            raise ValueError("finetuned count overflows u64")
+        freqs = (high << 32) + low
+    contexts = np.unique(np.concatenate([m.contexts for m in models]))
+    return ToyModel._from_rows(kind, keys >> 32, keys & 0xFFFFFFFF, freqs, contexts)
 
 
 def preproc_record(record: bytes) -> bytes:
@@ -208,29 +342,33 @@ def train(
     config: TrainConfig,
     tokenizer: ToyTokenizer,
 ) -> ToyModel:
-    """Accumulate (context, token) counts over the records, epochs times.
+    """Count (context, token) pairs over the records, epochs times.
 
     Counts are order-insensitive, so sampling order cannot change the model;
-    it is still honored so the consumption schedule is well-defined.
+    it is still honored so the consumption schedule is well-defined. Every
+    epoch's records are tokenised in order, then all pairs are counted by one
+    sort of their keys `context * |vocab| + token`, which leaves the rows in
+    (context, token) order.
     """
-    counts: dict[int, dict[int, int]] = {}
+    _check_kind(kind)
+    ids_of = {tok.encode("latin-1"): tid for tok, tid in tokenizer.vocab.items()}
+    split: list[list[bytes]] = []
     for epoch in range(config.epochs):
         order = list(range(len(records)))
         if config.sampling == "shuffled":
             random.Random(config.seed + epoch).shuffle(order)
-        for idx in order:
-            ids = tokenizer.encode(records[idx])
-            if kind == "unigram":
-                table = counts.setdefault(0, {})
-                for tid in ids:
-                    table[tid] = table.get(tid, 0) + 1
-            else:
-                prev = 0
-                for tid in ids:
-                    table = counts.setdefault(prev, {})
-                    table[tid] = table.get(tid, 0) + 1
-                    prev = tid
-    return ToyModel(kind, counts)
+        split += [records[idx].split() for idx in order]
+    ids = np.array(list(map(ids_of.get, chain.from_iterable(split), repeat(UNK_ID))), np.uint64)
+    prev = np.zeros_like(ids)
+    if kind == "bigram":
+        prev[1:] = ids[:-1]
+        firsts = np.cumsum([0] + [len(tokens) for tokens in split[:-1]], dtype=np.int64)
+        prev[firsts[firsts < len(ids)]] = 0
+    width = np.uint64(max(len(tokenizer.vocab), 1))
+    keys, freqs = np.unique(prev * width + ids, return_counts=True)
+    # A unigram model that sampled any record has context 0, tokens or not.
+    contexts = np.zeros(min(len(split), 1), np.uint32) if kind == "unigram" else None
+    return ToyModel._from_rows(kind, keys // width, keys % width, freqs, contexts)
 
 
 def optimize(
@@ -247,29 +385,19 @@ def optimize(
     if id_opt == "finetune":
         if d_opt is None:
             raise MissingDataset("finetune requires an optimization dataset")
-        counts = _copy_counts(model.counts)
-        _add_counts(counts, train(model.kind, d_opt, config, tokenizer).counts)
-        if adp is not None:
-            if adp.kind != model.kind:
-                raise ValueError(f"adapter kind {adp.kind!r} != model kind {model.kind!r}")
-            _add_counts(counts, adp.counts)
-        return ToyModel(model.kind, counts)
+        if adp is not None and adp.kind != model.kind:
+            raise ValueError(f"adapter kind {adp.kind!r} != model kind {model.kind!r}")
+        parts = [model, train(model.kind, d_opt, config, tokenizer)]
+        return _summed(model.kind, parts + ([] if adp is None else [adp]))
     if d_opt is not None:
         raise ValueError(f"{id_opt!r} does not take an optimization dataset")
+    ctx, tokens, freqs = model._rows()
     if id_opt == "quantize":
-        counts = {}
-        for ctx, entries in model.counts.items():
-            kept = {tid: n // 16 for tid, n in entries.items() if n // 16 > 0}
-            if kept:
-                counts[ctx] = kept
-        return ToyModel(model.kind, counts)
-    # prune
-    counts = {}
-    for ctx, entries in model.counts.items():
-        kept = {tid: n for tid, n in entries.items() if n >= 2}
-        if kept:
-            counts[ctx] = kept
-    return ToyModel(model.kind, counts)
+        freqs = freqs // 16
+        kept = freqs > 0
+    else:  # prune
+        kept = freqs >= 2
+    return ToyModel._from_rows(model.kind, ctx[kept], tokens[kept], freqs[kept])
 
 
 def evaluate(

@@ -349,6 +349,7 @@ def test_5_full_operation_coverage(tmp_path):
                 assert mapped_verdict.accepted, f"{op} mapped: {mapped_verdict.reason}"
     finally:
         server.shutdown()
+        server.server_close()
 
 
 # --------------------------------------------------------------------------

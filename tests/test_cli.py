@@ -53,6 +53,7 @@ def server(provisioned):
     srv = serve_background(("127.0.0.1", 0), ctx)
     yield f"{srv.endpoint[0]}:{srv.endpoint[1]}"
     srv.shutdown()
+    srv.server_close()
 
 
 class TestKeygen:

@@ -62,7 +62,8 @@ class TestPreprocessing:
         assert m.outputs["h(Dpre)"] == pack_records(preproc(corpus))
 
     def test_mapped_uses_multiset(self, dataset_path, corpus):
-        m = measure_preprocessing(MappedDataset(dataset_path))
+        with MappedDataset(dataset_path) as ds:
+            m = measure_preprocessing(ds)
         assert labels(m.mset.h_i) == ["MSH(D)"]
         assert labels(m.mset.h_o) == ["MSH(Dpre)"]
         limbs, count = oracle_msh(corpus)
@@ -93,7 +94,8 @@ class TestAttributeDistribution:
 
     def test_mode_changes_input_not_output(self, dataset_path):
         inmem = measure_attribute_distribution(load_in_memory(dataset_path))
-        mapped = measure_attribute_distribution(MappedDataset(dataset_path))
+        with MappedDataset(dataset_path) as ds:
+            mapped = measure_attribute_distribution(ds)
         assert inmem.mset.h_o == mapped.mset.h_o
         assert labels(inmem.mset.h_i) == ["h(D)"]
         assert labels(mapped.mset.h_i) == ["MSH(D)"]
@@ -151,8 +153,9 @@ class TestTraining:
     def test_shuffled_matches_sequential_outputs(self, dataset_path, tokenizer):
         seq = TrainConfig(seed=3, epochs=1, sampling="sequential")
         shuf = TrainConfig(seed=3, epochs=1, sampling="shuffled")
-        a = measure_training("bigram", MappedDataset(dataset_path), seq, tokenizer)
-        b = measure_training("bigram", MappedDataset(dataset_path), shuf, tokenizer)
+        with MappedDataset(dataset_path) as ds_a, MappedDataset(dataset_path) as ds_b:
+            a = measure_training("bigram", ds_a, seq, tokenizer)
+            b = measure_training("bigram", ds_b, shuf, tokenizer)
         assert a.mset.h_o == b.mset.h_o  # counts are order-insensitive
         assert a.mset.h_i[1] == b.mset.h_i[1]  # same multiset digest
         assert a.mset.h_i[2] != b.mset.h_i[2]  # but configs hash apart
@@ -176,9 +179,8 @@ class TestOptimization:
     def test_finetune_mapped_carries_multiset(self, model, tokenizer, config, tmp_path, corpus):
         path = tmp_path / "opt.palmds"
         write_dataset(path, corpus[:6])
-        m = measure_optimization(
-            model, tokenizer, config, "finetune", ds_opt=MappedDataset(path)
-        )
+        with MappedDataset(path) as ds_opt:
+            m = measure_optimization(model, tokenizer, config, "finetune", ds_opt=ds_opt)
         assert labels(m.mset.h_i) == ["h(M)", "h(Mtok)", "h(T)", "h(idopt)", "MSH(Dopt)"]
         limbs, count = oracle_msh(corpus[:6])
         assert m.mset.h_i[-1].data == oracle_encode(limbs, count)

@@ -259,7 +259,8 @@ class TestFreshness:
 class TestBindingResolution:
     def _plain_only_store(self, fixture):
         store = ReferenceStore.from_json(fixture.refstore.to_json())
-        plain = sha3_256(open(fixture.dataset_path, "rb").read())
+        with open(fixture.dataset_path, "rb") as f:
+            plain = sha3_256(f.read())
         store.property_refs["Training"] = {"h(Dtr)": {plain}}
         return store
 
@@ -328,6 +329,7 @@ class TestTransport:
             over_tcp = request_over_tcp(server.endpoint, req)
         finally:
             server.shutdown()
+            server.server_close()
         in_process = prover_handle(req, ctx)
         assert over_tcp.canonical_bytes() == in_process.canonical_bytes()
 
@@ -346,6 +348,7 @@ class TestTransport:
                 assert message["type"] == MSG_RESPONSE
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_wrong_type_frame_is_error(self, fixture, ctx):
         server = serve_background(("127.0.0.1", 0), ctx)
@@ -355,6 +358,7 @@ class TestTransport:
                 assert recv_frame(sock)["type"] == MSG_ERROR
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_prover_errors_become_error_frames(self, fixture, ctx):
         server = serve_background(("127.0.0.1", 0), ctx)
@@ -366,6 +370,7 @@ class TestTransport:
                 request_over_tcp(server.endpoint, req)
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_many_sequential_requests(self, fixture, ctx, verifier):
         model_json = {"kind": "unigram", "counts": {"0": {"1": 3}}}
@@ -382,6 +387,7 @@ class TestTransport:
                 assert Verifier(fixture.refstore).verify(response, req).accepted
         finally:
             server.shutdown()
+            server.server_close()
 
 
 class TestConfidentialPayloads:
@@ -429,6 +435,7 @@ class TestNonLatin1Text:
             assert verifier.verify(request_over_tcp(server.endpoint, good, timeout=10), good).accepted
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_unexpected_prover_exception_is_an_error_frame(self, fixture, ctx, caplog):
         req = fixture.make_request("bad-sampling")
@@ -442,7 +449,43 @@ class TestNonLatin1Text:
             assert request_over_tcp(server.endpoint, good, timeout=10).mset.op.name == good.op.name
         finally:
             server.shutdown()
+            server.server_close()
         assert "prover failed on a request" in caplog.text
+
+
+class TestInputRanges:
+    """Out-of-range config and model inputs are refused when decoded, before
+    any operation runs, and the client gets an ERROR frame."""
+
+    def _served(self, ctx, bad, pattern):
+        server = serve_background(("127.0.0.1", 0), ctx)
+        try:
+            with pytest.raises(PalmError, match=pattern):
+                request_over_tcp(server.endpoint, bad, timeout=10)
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_negative_seed_never_trains(self, fixture, ctx, monkeypatch):
+        from palm import measurers
+
+        calls = []
+        real = measurers.train
+        monkeypatch.setattr(measurers, "train", lambda *a: calls.append(a) or real(*a))
+        req = fixture.make_request("negative-seed")
+        inputs = dict(req.inputs, train_config={"seed": -1, "epochs": 1, "sampling": "shuffled"})
+        bad = AttestationRequest(req.op, req.chal, inputs, req.mode, req.want_gpu)
+        self._served(ctx, bad, r"^server error: ValueError: seed -1 outside")
+        assert calls == []
+
+    def test_oversized_count_is_an_error_frame(self, fixture, ctx):
+        model = {"kind": "unigram", "counts": {"0": {"1": 2**64}}}
+        bad = build_request(
+            "SingleInference",
+            {"model": model, "tokenizer": fixture.tokenizer.to_json(), "query": "q"},
+            nonce_chal("oversized-count"),
+        )
+        self._served(ctx, bad, r"^server error: ValueError: count outside \[0, 2\*\*64\)")
 
 
 class TestDatasetHandlesClosed:

@@ -1,11 +1,14 @@
 """Toy operation semantics: the examples every measurement hash rests on."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palm.errors import FormatError, MissingDataset, UnknownOptimization
 from palm.toyops import (
+    MODEL_KINDS,
     RESPONSE_LEN,
     UNK_ID,
     UNK_TOKEN,
@@ -22,6 +25,8 @@ from palm.toyops import (
     serialize_history,
     train,
 )
+
+from reference import oracle_model_bytes, oracle_optimize, oracle_predict, oracle_train
 
 texts = st.lists(st.binary(max_size=48), max_size=12)
 
@@ -89,6 +94,18 @@ class TestTokenizer:
     def test_json_round_trip(self):
         tok = ToyTokenizer.build([b"a b"])
         assert ToyTokenizer.from_json(tok.to_json()) == tok
+
+    def test_decode_id_matches_a_scan_of_the_vocab(self, tokenizer):
+        def scan(token_id):
+            for tok, tid in tokenizer.vocab.items():
+                if tid == token_id:
+                    return tok
+            return UNK_TOKEN
+
+        for token_id in range(len(tokenizer.vocab)):
+            assert tokenizer.decode_id(token_id) == scan(token_id)
+        for outside in (-1, len(tokenizer.vocab), 2**40):
+            assert tokenizer.decode_id(outside) == UNK_TOKEN
 
 
 class TestTrain:
@@ -283,6 +300,138 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(sampling="bogus")
 
+    @pytest.mark.parametrize(
+        "seed, epochs", [(-1, 1), (2**64, 1), (0, -1), (0, 2**32)]
+    )
+    def test_rejects_out_of_range(self, seed, epochs):
+        with pytest.raises(ValueError, match="outside"):
+            TrainConfig(seed=seed, epochs=epochs)
+
+    def test_accepts_range_ends(self):
+        cfg = TrainConfig(seed=2**64 - 1, epochs=2**32 - 1)
+        assert cfg.serialized_bytes()[:12] == b"\xff" * 12
+
     def test_json_round_trip(self):
         cfg = TrainConfig(seed=5, epochs=2, sampling="sequential")
         assert TrainConfig.from_json(cfg.to_json()) == cfg
+
+
+class TestModelRanges:
+    """Context and token ids are u32 and counts u64: a value outside is a
+    ValueError when the model is built, not a failure at serialisation."""
+
+    @pytest.mark.parametrize(
+        "counts",
+        [{"0": {"1": -5}}, {"0": {"1": 2**64}}, {str(2**32): {"1": 1}}, {"0": {"-1": 1}}],
+    )
+    def test_from_json_rejects(self, counts):
+        with pytest.raises(ValueError, match="outside"):
+            ToyModel.from_json({"kind": "bigram", "counts": counts})
+
+    def test_constructor_rejects(self):
+        with pytest.raises(ValueError, match="outside"):
+            ToyModel("bigram", {2**32: {}})
+
+    def test_range_ends_serialise(self):
+        model = ToyModel("bigram", {2**32 - 1: {2**32 - 1: 2**64 - 1}})
+        one = (1).to_bytes(4, "little")
+        assert model.serialized_bytes() == b"\x02" + one + b"\xff" * 4 + one + b"\xff" * 12
+
+    def test_finetune_overflow_raises(self):
+        tok = ToyTokenizer.build([b"a"])
+        base = ToyModel("unigram", {0: {1: 2**64 - 1}})
+        with pytest.raises(ValueError, match="overflows"):
+            optimize(base, tok, TrainConfig(epochs=1), "finetune", d_opt=[b"a"])
+
+
+# --------------------------------------------------------------------------
+# The columnar count table against the dict-based oracle in tests/reference.py.
+
+# Tokens mix ASCII, latin-1 bytes >= 0x80 and \x85 / \xa0, which str.split()
+# would split on and bytes.split() does not; \x0b and \x0c separate them.
+tokens = st.lists(
+    st.sampled_from([b"a", b"b", b"c", b"\xe9", b"\xff", b"\x85", b"\xa0", b"<unk>"]),
+    min_size=1, max_size=3,
+).map(b"".join)
+separators = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"  "])
+records = st.lists(
+    st.lists(st.tuples(separators, tokens), max_size=6).map(
+        lambda parts: b"".join(sep + tok for sep, tok in parts)
+    ),
+    max_size=8,
+)
+counts_tables = st.dictionaries(
+    st.integers(0, 12),
+    st.dictionaries(
+        st.integers(0, 12),
+        st.one_of(st.integers(0, 40), st.integers(2**64 - 40, 2**64 - 1)),
+        max_size=5,
+    ),
+    max_size=5,
+)
+
+
+class TestColumnarMatchesOracle:
+    @given(
+        recs=records,
+        in_vocab=st.integers(0, 8),
+        kind=st.sampled_from(MODEL_KINDS),
+        epochs=st.integers(0, 3),
+        sampling=st.sampled_from(["sequential", "shuffled"]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_train(self, recs, in_vocab, kind, epochs, sampling, seed):
+        tok = ToyTokenizer.build(recs[:in_vocab])  # later records bring unknown tokens
+        model = train(kind, recs, TrainConfig(seed, epochs, sampling), tok)
+        expected = oracle_train(kind, recs, tok.vocab, seed, epochs, sampling)
+        assert model.counts == expected
+        assert model.serialized_bytes() == oracle_model_bytes(kind, expected)
+        assert model == ToyModel(kind, expected)
+        assert ToyModel.from_json(model.to_json()) == model
+        for context in range(len(tok.vocab) + 1):
+            assert model.predict(context) == oracle_predict(kind, expected, context)
+
+    @given(kind=st.sampled_from(MODEL_KINDS), counts=counts_tables)
+    @settings(max_examples=150, deadline=None)
+    def test_table_and_filters(self, kind, counts):
+        # Tables here hold contexts with no entries and zero counts.
+        model = ToyModel(kind, counts)
+        assert model.serialized_bytes() == oracle_model_bytes(kind, counts)
+        assert model.counts == counts
+        assert ToyModel.from_json(model.to_json()) == model
+        # Frames sort keys as strings: "10" arrives before "9".
+        framed = json.loads(json.dumps(model.to_json(), sort_keys=True))
+        assert ToyModel.from_json(framed) == model
+        for context in range(14):
+            assert model.predict(context) == oracle_predict(kind, counts, context)
+        for id_opt in ("quantize", "prune"):
+            expected = oracle_optimize(counts, id_opt)
+            out = optimize(model, None, None, id_opt)
+            assert out.serialized_bytes() == oracle_model_bytes(kind, expected)
+
+    @given(
+        kind=st.sampled_from(MODEL_KINDS),
+        counts=counts_tables,
+        adapter=st.one_of(st.none(), counts_tables),
+        recs=records,
+        epochs=st.integers(0, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_finetune(self, kind, counts, adapter, recs, epochs):
+        tok = ToyTokenizer.build(recs)
+        config = TrainConfig(5, epochs, "shuffled")
+        trained = oracle_train(kind, recs, tok.vocab, 5, epochs, "shuffled")
+        expected = oracle_optimize(counts, "finetune", trained, adapter)
+        adp = None if adapter is None else ToyModel(kind, adapter)
+        finetune = lambda: optimize(ToyModel(kind, counts), tok, config, "finetune", adp, recs)
+        if any(n >= 2**64 for entries in expected.values() for n in entries.values()):
+            with pytest.raises(ValueError, match="overflows"):
+                finetune()
+        else:
+            assert finetune().serialized_bytes() == oracle_model_bytes(kind, expected)
+
+    def test_from_json_in_any_order_matches_the_dict_form(self):
+        # "1" and "01" name one context; as in a dict, the later one wins.
+        doc = {"kind": "bigram", "counts": {"5": {"2": 1, "1": 4}, "1": {}, "01": {"3": 2}}}
+        assert ToyModel.from_json(doc) == ToyModel("bigram", {5: {2: 1, 1: 4}, 1: {3: 2}})
