@@ -33,6 +33,8 @@ from .encoding import sha3_256
 from .errors import PalmError
 from .msh import msh_of_records
 from .protocol import (
+    MODES,
+    OPS,
     AttestationRequest,
     AttestationResponse,
     TdContext,
@@ -181,25 +183,12 @@ def cmd_serve(args) -> int:
 
 
 def cmd_request(args) -> int:
+    file_inputs = ("tokenizer", "model", "train_config", "adapter", "history")
     inputs: dict = {}
-    for key, value in (
-        ("dataset", args.dataset),
-        ("arch", args.arch),
-        ("id_opt", args.id_opt),
-        ("query", args.query),
-        ("opt_dataset", args.opt_dataset),
-    ):
+    for key in ("dataset", "arch", "id_opt", "query", "opt_dataset", *file_inputs):
+        value = getattr(args, key)
         if value is not None:
-            inputs[key] = value
-    for key, path in (
-        ("tokenizer", args.tokenizer),
-        ("model", args.model),
-        ("train_config", args.train_config),
-        ("adapter", args.adapter),
-        ("history", args.history),
-    ):
-        if path is not None:
-            inputs[key] = _read_json_file(path)
+            inputs[key] = _read_json_file(value) if key in file_inputs else value
     request = build_request(
         args.op,
         inputs,
@@ -370,9 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("request", help="send an attestation request over TCP")
     p.add_argument("--endpoint", default="127.0.0.1:7915")
-    p.add_argument("--op", required=True, help="operation name, e.g. Training")
+    p.add_argument("--op", required=True, choices=tuple(OPS), help="operation name")
     p.add_argument("--chal", default="timestamp", help="timestamp | nonce | nonce:<hex>")
-    p.add_argument("--mode", choices=("inmem", "mapped"), default="inmem")
+    p.add_argument("--mode", choices=MODES, default="inmem")
     p.add_argument("--gpu", action="store_true", help="require GPU evidence")
     p.add_argument("--confidential", action="store_true", help="withhold output payloads")
     p.add_argument("--dataset", help="staged dataset file name")
@@ -403,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ref", help="reference store edits")
     ref_sub = p.add_subparsers(dest="ref_command", required=True)
     q = ref_sub.add_parser("add", help="register an accepted digest for (op, label)")
-    q.add_argument("--op", required=True)
+    q.add_argument("--op", required=True, choices=tuple(OPS))
     q.add_argument("--label", required=True)
     q.add_argument("--digest", required=True, help="hex digest or multiset encoding")
     q.add_argument("--store", help="reference store path")

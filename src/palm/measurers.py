@@ -8,21 +8,8 @@ whole (label "h(role)"), or the sample-time multiset digest when it is
 memory-mapped (label "MSH(role)"). A GPU attestation token, when one was
 produced, rides in H_I under the label "GPU_att"; its absence from an
 operation that declared GPU use is a verifier-visible condition, so
-measurers never fabricate a placeholder.
-
-Label schemas are closed per operation:
-
-    Preprocessing          H_I [h_D(D)]                         H_O [h_D(Dpre)]
-    AttributeDistribution  H_I [h_D(D)]                         H_O [h(Adist)]
-    MeasurementBinding     H_I []                               H_O [h(h(D)||MSH(D))]
-    Training               H_I [h(Mar), h_D(Dtr), h(T), h(Mtok)] H_O [h(Mtr)]
-    WeightOptimization     H_I [h(M), h(Mtok), h(T), h(idopt),
-                                h(Madp)?, h_D(Dopt)?]           H_O [h(Mopt)]
-    Evaluation             H_I [h(M), h(Mtok), h_D(Dte)]        H_O [h(metric)]
-    SingleInference        H_I [h(M), h(Mtok), h(q)]            H_O [h(r)]
-    SessionInference       H_I [h(q), h(Mtok), h(M)]            H_O [h(r), h(H)]
-
-(h_D resolves to h or MSH per mode; GPU_att, when present, is last in H_I.)
+measurers never fabricate a placeholder. OP_CODES lists each operation's
+labels.
 
 Measurers that take a dataset also take an optional MshPool. A mapped epoch
 is then hashed by the pool's workers: every record is still sampled, claimed
@@ -64,17 +51,19 @@ from .toyops import (
     train,
 )
 
-OP_CODES = {
-    "Preprocessing": 1,
-    "AttributeDistribution": 2,
-    "MeasurementBinding": 3,
-    "Training": 4,
-    "WeightOptimization": 5,
-    "Evaluation": 6,
-    "SingleInference": 7,
-    "SessionInference": 8,
+# Wire code and closed label schema per operation (h_D is h or MSH as the
+# dataset is held; GPU_att, when present, is last in H_I).
+OP_CODES = {                     # H_I                                  H_O
+    "Preprocessing": 1,          # [h_D(D)]                             [h_D(Dpre)]
+    "AttributeDistribution": 2,  # [h_D(D)]                             [h(Adist)]
+    "MeasurementBinding": 3,     # []                                   [h(h(D)||MSH(D))]
+    "Training": 4,               # [h(Mar), h_D(Dtr), h(T), h(Mtok)]    [h(Mtr)]
+    "WeightOptimization": 5,     # [h(M), h(Mtok), h(T), h(idopt),      [h(Mopt)]
+                                 #  h(Madp)?, h_D(Dopt)?]
+    "Evaluation": 6,             # [h(M), h(Mtok), h_D(Dte)]            [h(metric)]
+    "SingleInference": 7,        # [h(M), h(Mtok), h(q)]                [h(r)]
+    "SessionInference": 8,       # [h(q), h(Mtok), h(M)]                [h(r), h(H)]
 }
-_CODE_OPS = {v: k for k, v in OP_CODES.items()}
 
 GPU_LABEL = "GPU_att"
 BINDING_LABEL = "h(h(D)||MSH(D))"

@@ -8,6 +8,11 @@ output payloads. The verifier is non-interactive: its only inputs are
 that response, the echoed request, and the trusted authority's reference
 store. It runs a fixed check pipeline and reports every check it ran.
 
+Each operation is one entry of the OPS table: the inputs a request must and
+may carry, and the measurer call that runs it. A request checks itself
+against its entry when constructed, wherever it was built or decoded; the
+prover decodes every input before the measurer runs.
+
 Check order (first failure wins, later checks are not executed):
 
     1 quote_signature          quote parses and verifies under a registered key
@@ -17,6 +22,7 @@ Check order (first failure wins, later checks are not executed):
     4 td_module                h_module is an accepted module measurement
     5 gpu_evidence             token present and valid when the request declared GPU
     6 measurement_set_binding  cleartext measurement set hashes to the quoted digest
+                               and names the requested operation (and id_opt)
     7 output_measurements      H_O entries recompute from the returned outputs
     8 reference_values         measurements match registered references (multiset
                                entries may resolve through a registered binding)
@@ -30,7 +36,7 @@ import os
 import threading
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -54,7 +60,6 @@ from .encoding import sha3_256
 from .errors import (
     FormatError,
     MalformedQuote,
-    PalmError,
     SchemaError,
     SignatureInvalid,
 )
@@ -76,37 +81,116 @@ from .measurers import (
 )
 from .msh import MshPool, msh_of_records
 from .refstore import ReferenceStore
-from .toyops import ToyModel, ToyTokenizer, TrainConfig
+from .toyops import History, ToyModel, ToyTokenizer, TrainConfig
 
 TIMESTAMP_WINDOW_SECONDS = 300
 
-INFERENCE_OPS = frozenset({"SingleInference", "SessionInference"})
+MODES = ("inmem", "mapped")
 
-REJECT_REASONS = (
-    "SignatureInvalid",
-    "StaleChallenge",
-    "UnknownTdImage",
-    "UnknownModule",
-    "GpuEvidenceMissing",
-    "GpuEvidenceInvalid",
-    "OutputMismatch",
-    "ReferenceMismatch",
-    "Malformed",
-)
 
-_REQUIRED_INPUTS = {
-    "Preprocessing": frozenset({"dataset"}),
-    "AttributeDistribution": frozenset({"dataset"}),
-    "MeasurementBinding": frozenset({"dataset"}),
-    "Training": frozenset({"arch", "dataset", "train_config", "tokenizer"}),
-    "WeightOptimization": frozenset({"model", "tokenizer", "train_config", "id_opt"}),
-    "Evaluation": frozenset({"model", "tokenizer", "dataset"}),
-    "SingleInference": frozenset({"model", "tokenizer", "query"}),
-    "SessionInference": frozenset({"model", "tokenizer", "query", "history"}),
+# --------------------------------------------------------------------------
+# Operation table
+
+
+def _latin1(text, what: str) -> bytes:
+    """Request text as the bytes the toy operations consume; text outside
+    latin-1 (or not text at all) is a schema fault, not a crash."""
+    try:
+        return text.encode("latin-1")
+    except (AttributeError, UnicodeEncodeError) as exc:
+        raise SchemaError(f"{what} is not latin-1 text: {exc}") from exc
+
+
+def _tokenizer(doc, ctx) -> ToyTokenizer:
+    """A tokenizer whose every token serialises, checked before any op runs."""
+    tokenizer = ToyTokenizer.from_json(doc)
+    _latin1("".join(tokenizer.vocab), "tokenizer vocabulary")
+    return tokenizer
+
+
+def _history(pairs, ctx) -> History:
+    try:
+        return tuple(
+            (_latin1(q, "history query"), _latin1(r, "history response")) for q, r in pairs
+        )
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"history is not a list of (query, response) pairs: {exc}") from exc
+
+
+# Input name -> decoder(value, ctx); arch and id_opt pass as given. Functions
+# are looked up when called, so a harness that replaces one to trace it is obeyed.
+_DECODERS = {
+    "model": lambda doc, ctx: ToyModel.from_json(doc),
+    "adapter": lambda doc, ctx: ToyModel.from_json(doc),
+    "tokenizer": _tokenizer,
+    "train_config": lambda doc, ctx: TrainConfig.from_json(doc),
+    "dataset": lambda name, ctx: os.path.join(ctx.staging_dir, name),
+    "opt_dataset": lambda name, ctx: os.path.join(ctx.staging_dir, name),
+    "query": lambda text, ctx: _latin1(text, "query"),
+    "history": _history,
 }
-_OPTIONAL_INPUTS = {
-    "WeightOptimization": frozenset({"adapter", "opt_dataset"}),
-}
+
+
+@dataclass
+class _Run:
+    """One request being proved. Indexing returns an input decoded by its
+    name's decoder, or None for an absent optional input; `open` opens a
+    staged dataset the way the request holds it, closed with `handles`."""
+
+    request: AttestationRequest
+    ctx: TdContext
+    gpu: Optional[GpuToken]
+    handles: ExitStack
+
+    def __getitem__(self, name: str):
+        if name not in self.request.inputs:
+            return None
+        decode = _DECODERS.get(name, lambda value, ctx: value)
+        return decode(self.request.inputs[name], self.ctx)
+
+    def open(self, path: Optional[str]):
+        if path is None:
+            return None
+        if self.request.mode == "inmem":
+            return load_in_memory(path)
+        return self.handles.enter_context(self.ctx.mapped_opener(path))
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One measured operation: the inputs a request for it must and may
+    carry, and the measurer call, which reads each input from the run as it
+    passes it on. Wire codes and label schemas are the measurers' own."""
+
+    name: str
+    required: tuple[str, ...]
+    measure: Callable[[_Run], Measured]
+    optional: tuple[str, ...] = ()
+    nonce_only: bool = False  # inference answers a live query: no timestamps
+
+
+OPS = {spec.name: spec for spec in (
+    OpSpec("Preprocessing", ("dataset",), lambda r: measure_preprocessing(
+        r.open(r["dataset"]), r.gpu, r.ctx.msh_pool, keep_output=not r.request.confidential)),
+    OpSpec("AttributeDistribution", ("dataset",), lambda r: measure_attribute_distribution(
+        r.open(r["dataset"]), r.gpu, r.ctx.msh_pool)),
+    OpSpec("MeasurementBinding", ("dataset",), lambda r: measure_binding(r["dataset"])),
+    OpSpec("Training", ("arch", "dataset", "train_config", "tokenizer"),
+           lambda r: measure_training(r["arch"], r.open(r["dataset"]), r["train_config"],
+                                      r["tokenizer"], r.gpu, r.ctx.msh_pool)),
+    OpSpec("WeightOptimization", ("model", "tokenizer", "train_config", "id_opt"),
+           lambda r: measure_optimization(r["model"], r["tokenizer"], r["train_config"],
+                                          r["id_opt"], r["adapter"], r.open(r["opt_dataset"]),
+                                          r.gpu, r.ctx.msh_pool),
+           optional=("adapter", "opt_dataset")),
+    OpSpec("Evaluation", ("model", "tokenizer", "dataset"), lambda r: measure_evaluation(
+        r["model"], r["tokenizer"], r.open(r["dataset"]), r.gpu, r.ctx.msh_pool)),
+    OpSpec("SingleInference", ("model", "tokenizer", "query"), lambda r: measure_inference(
+        r["model"], r["tokenizer"], r["query"], r.gpu), nonce_only=True),
+    OpSpec("SessionInference", ("model", "tokenizer", "query", "history"),
+           lambda r: measure_session_inference(r["model"], r["tokenizer"], r["history"],
+                                               r["query"], r.gpu), nonce_only=True),
+)}
 
 
 # --------------------------------------------------------------------------
@@ -115,12 +199,36 @@ _OPTIONAL_INPUTS = {
 
 @dataclass(frozen=True)
 class AttestationRequest:
+    """A request for one operation. It holds itself to the operation's
+    entry in OPS on construction; a fault is a SchemaError."""
+
     op: OperationId
     chal: Challenge
     inputs: dict
     mode: str = "inmem"
     want_gpu: bool = False
     confidential: bool = False
+
+    def __post_init__(self):
+        spec = OPS[self.op.name]  # OperationId admits only the eight operations
+        if self.mode not in MODES:
+            raise SchemaError(f"unknown mode {self.mode!r}")
+        missing = set(spec.required) - self.inputs.keys()
+        unknown = self.inputs.keys() - {*spec.required, *spec.optional}
+        if missing:
+            raise SchemaError(f"{spec.name} is missing inputs: {sorted(missing)}")
+        if unknown:
+            raise SchemaError(f"{spec.name} does not take inputs: {sorted(unknown)}")
+        if spec.nonce_only and self.chal.kind != "nonce":
+            raise SchemaError(f"{spec.name} requires a nonce challenge, not {self.chal.kind}")
+        id_opt = self.op.id_opt
+        if id_opt is not None:
+            if self.inputs["id_opt"] != id_opt:
+                raise SchemaError(f"id_opt {id_opt!r} disagrees with {self.inputs['id_opt']!r}")
+            if id_opt == "finetune" and "opt_dataset" not in self.inputs:
+                raise SchemaError("finetune requires opt_dataset")
+            if id_opt != "finetune" and "opt_dataset" in self.inputs:
+                raise SchemaError(f"{id_opt!r} does not take opt_dataset")
 
     def to_json(self) -> dict:
         doc = {
@@ -157,37 +265,14 @@ def build_request(
     mode: str = "inmem",
     want_gpu: bool = False,
     confidential: bool = False,
-    id_opt: Optional[str] = None,
 ) -> AttestationRequest:
-    """Validate the input descriptors against the operation's schema."""
-    if op_name not in _REQUIRED_INPUTS:
-        raise SchemaError(f"unknown operation {op_name!r}")
-    if mode not in ("inmem", "mapped"):
-        raise SchemaError(f"unknown mode {mode!r}")
-    required = _REQUIRED_INPUTS[op_name]
-    allowed = required | _OPTIONAL_INPUTS.get(op_name, frozenset())
-    missing = required - inputs.keys()
-    unknown = inputs.keys() - allowed
-    if missing:
-        raise SchemaError(f"{op_name} is missing inputs: {sorted(missing)}")
-    if unknown:
-        raise SchemaError(f"{op_name} does not take inputs: {sorted(unknown)}")
-    if op_name in INFERENCE_OPS and chal.kind != "nonce":
-        raise SchemaError(f"{op_name} requires a nonce challenge, not {chal.kind}")
-    if op_name == "WeightOptimization":
-        if inputs["id_opt"] == "finetune" and "opt_dataset" not in inputs:
-            raise SchemaError("finetune requires opt_dataset")
-        if inputs["id_opt"] != "finetune" and "opt_dataset" in inputs:
-            raise SchemaError(f"{inputs['id_opt']!r} does not take opt_dataset")
-        id_opt = inputs["id_opt"]
-    return AttestationRequest(
-        op=OperationId(op_name, id_opt),
-        chal=chal,
-        inputs=inputs,
-        mode=mode,
-        want_gpu=want_gpu,
-        confidential=confidential,
-    )
+    """A request for the named operation, whose id_opt (if any) is the one
+    its inputs carry; it checks itself against the operation's schema."""
+    try:
+        op = OperationId(op_name, inputs.get("id_opt"))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+    return AttestationRequest(op, chal, inputs, mode, want_gpu, confidential)
 
 
 # --------------------------------------------------------------------------
@@ -283,91 +368,6 @@ class AttestationResponse:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
 
-def _latin1(text, what: str) -> bytes:
-    """Request text as the bytes the toy operations consume; text outside
-    latin-1 (or not text at all) is a schema fault, not a crash."""
-    try:
-        return text.encode("latin-1")
-    except (AttributeError, UnicodeEncodeError) as exc:
-        raise SchemaError(f"{what} is not latin-1 text: {exc}") from exc
-
-
-def _run_measurer(
-    request: AttestationRequest, ctx: TdContext, gpu: Optional[GpuToken], handles: ExitStack
-) -> Measured:
-    op = request.op.name
-    inputs = request.inputs
-    pool = ctx.msh_pool
-
-    def dataset(name: str):
-        """Open a staged dataset; a mapped handle is closed with `handles`."""
-        path = os.path.join(ctx.staging_dir, name)
-        if request.mode == "inmem":
-            return load_in_memory(path)
-        return handles.enter_context(ctx.mapped_opener(path))
-
-    if op == "Preprocessing":
-        return measure_preprocessing(
-            dataset(inputs["dataset"]), gpu, pool, keep_output=not request.confidential
-        )
-    if op == "AttributeDistribution":
-        return measure_attribute_distribution(dataset(inputs["dataset"]), gpu, pool)
-    if op == "MeasurementBinding":
-        return measure_binding(os.path.join(ctx.staging_dir, inputs["dataset"]))
-    if op == "Training":
-        return measure_training(
-            inputs["arch"],
-            dataset(inputs["dataset"]),
-            TrainConfig.from_json(inputs["train_config"]),
-            ToyTokenizer.from_json(inputs["tokenizer"]),
-            gpu,
-            pool,
-        )
-    if op == "WeightOptimization":
-        adp = inputs.get("adapter")
-        ds_opt = inputs.get("opt_dataset")
-        return measure_optimization(
-            ToyModel.from_json(inputs["model"]),
-            ToyTokenizer.from_json(inputs["tokenizer"]),
-            TrainConfig.from_json(inputs["train_config"]),
-            inputs["id_opt"],
-            adp=None if adp is None else ToyModel.from_json(adp),
-            ds_opt=None if ds_opt is None else dataset(ds_opt),
-            gpu=gpu,
-            pool=pool,
-        )
-    if op == "Evaluation":
-        return measure_evaluation(
-            ToyModel.from_json(inputs["model"]),
-            ToyTokenizer.from_json(inputs["tokenizer"]),
-            dataset(inputs["dataset"]),
-            gpu,
-            pool,
-        )
-    if op == "SingleInference":
-        return measure_inference(
-            ToyModel.from_json(inputs["model"]),
-            ToyTokenizer.from_json(inputs["tokenizer"]),
-            _latin1(inputs["query"], "query"),
-            gpu,
-        )
-    # SessionInference
-    try:
-        history = tuple(
-            (_latin1(q, "history query"), _latin1(r, "history response"))
-            for q, r in inputs["history"]
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"history is not a list of (query, response) pairs: {exc}") from exc
-    return measure_session_inference(
-        ToyModel.from_json(inputs["model"]),
-        ToyTokenizer.from_json(inputs["tokenizer"]),
-        history,
-        _latin1(inputs["query"], "query"),
-        gpu,
-    )
-
-
 def prover_handle(request: AttestationRequest, ctx: TdContext) -> AttestationResponse:
     """Run the operation inside the trust domain and quote the evidence.
 
@@ -380,7 +380,7 @@ def prover_handle(request: AttestationRequest, ctx: TdContext) -> AttestationRes
     if request.want_gpu and ctx.gpu_key is not None:
         gpu = gpu_attest(ctx.gpu_state, request.chal.digest(), ctx.gpu_key)
     with ExitStack() as handles:
-        measured = _run_measurer(request, ctx, gpu, handles)
+        measured = OPS[request.op.name].measure(_Run(request, ctx, gpu, handles))
     rd = build_report_data(request.chal, measured.mset)
     report = create_td_report(ctx.h_td, H_MODULE, rd, ctx.mac_key)
     report = ctx.report_hook(report)
@@ -431,6 +431,17 @@ class _Fail(Exception):
         self.detail = detail
 
 
+@dataclass
+class _Evidence:
+    """What the checks of one verification share; the signature check
+    stores the quote it decoded."""
+
+    response: AttestationResponse
+    request: AttestationRequest
+    now: float
+    quote: Optional[Quote] = None
+
+
 class Verifier:
     """Non-interactive check pipeline against a trusted authority's store.
 
@@ -446,22 +457,24 @@ class Verifier:
 
     # -- individual checks (each returns a pass detail or raises _Fail) ----
 
-    def _check_signature(self, response: AttestationResponse) -> tuple[Quote, str]:
+    def _check_signature(self, ev: _Evidence) -> str:
         try:
-            quote = Quote.decode(response.quote)
+            quote = Quote.decode(ev.response.quote)
         except MalformedQuote as exc:
             raise _Fail("Malformed", f"quote does not parse: {exc}")
         pubkey = self.refstore.qe_public_key(quote.qe_key_id)
         if pubkey is None:
             raise _Fail("SignatureInvalid", f"no registered key {quote.qe_key_id!r}")
         try:
-            verify_quote(response.quote, pubkey)
+            verify_quote(ev.response.quote, pubkey)
         except SignatureInvalid:
             raise _Fail("SignatureInvalid", "signature does not verify")
-        return quote, f"verified under {quote.qe_key_id}"
+        ev.quote = quote
+        return f"verified under {quote.qe_key_id}"
 
-    def _check_freshness(self, quote: Quote, chal: Challenge, now: float) -> str:
-        if quote.report_data.chal_digest != chal.digest():
+    def _check_freshness(self, ev: _Evidence) -> str:
+        chal = ev.request.chal
+        if ev.quote.report_data.chal_digest != chal.digest():
             raise _Fail("StaleChallenge", "quote binds a different challenge")
         if chal.kind == "nonce":
             with self._nonce_lock:
@@ -469,7 +482,7 @@ class Verifier:
                     raise _Fail("StaleChallenge", "nonce already used")
                 self._seen_nonces.add(chal.nonce)
             return "fresh nonce"
-        age = now - chal.timestamp
+        age = ev.now - chal.timestamp
         if abs(age) > TIMESTAMP_WINDOW_SECONDS:
             raise _Fail(
                 "StaleChallenge",
@@ -477,17 +490,18 @@ class Verifier:
             )
         return f"timestamp within window (age {age:.0f}s)"
 
-    def _check_td_image(self, quote: Quote) -> str:
-        if quote.h_td not in self.refstore.accepted_h_td:
-            raise _Fail("UnknownTdImage", f"h_TD {quote.h_td.hex()[:16]}… not accepted")
+    def _check_td_image(self, ev: _Evidence) -> str:
+        if ev.quote.h_td not in self.refstore.accepted_h_td:
+            raise _Fail("UnknownTdImage", f"h_TD {ev.quote.h_td.hex()[:16]}… not accepted")
         return "trust-domain measurement accepted"
 
-    def _check_td_module(self, quote: Quote) -> str:
-        if quote.h_module not in self.refstore.accepted_h_module:
-            raise _Fail("UnknownModule", f"h_module {quote.h_module.hex()[:16]}… not accepted")
+    def _check_td_module(self, ev: _Evidence) -> str:
+        if ev.quote.h_module not in self.refstore.accepted_h_module:
+            raise _Fail("UnknownModule", f"h_module {ev.quote.h_module.hex()[:16]}… not accepted")
         return "module measurement accepted"
 
-    def _check_gpu(self, response: AttestationResponse, request: AttestationRequest) -> str:
+    def _check_gpu(self, ev: _Evidence) -> str:
+        response, request = ev.response, ev.request
         mset_entry = next(
             (e for e in response.mset.h_i if e.label == GPU_LABEL), None
         )
@@ -509,16 +523,19 @@ class Verifier:
             raise _Fail("GpuEvidenceInvalid", "token signature verifies under no registered key")
         return "GPU token valid"
 
-    def _check_mset_binding(self, response: AttestationResponse, quote: Quote) -> str:
-        if response.mset.digest() != quote.report_data.hi_ho_digest:
+    def _check_mset_binding(self, ev: _Evidence) -> str:
+        mset = ev.response.mset
+        if mset.digest() != ev.quote.report_data.hi_ho_digest:
             raise _Fail("Malformed", "measurement set does not hash to the quoted digest")
+        if mset.op != ev.request.op:
+            raise _Fail("Malformed", f"measurement set is for {mset.op}, not {ev.request.op}")
         return "measurement set bound by quote"
 
-    def _check_outputs(self, response: AttestationResponse) -> str:
-        if response.outputs is None:
+    def _check_outputs(self, ev: _Evidence) -> str:
+        outputs = ev.response.outputs
+        if outputs is None:
             return "outputs withheld (confidential); skipped"
-        outputs = response.outputs
-        for entry in response.mset.h_o:
+        for entry in ev.response.mset.h_o:
             if entry.label == BINDING_LABEL:
                 plain = outputs.get("h(D)")
                 msh = outputs.get("MSH(D)")
@@ -541,10 +558,11 @@ class Verifier:
                 raise _Fail("OutputMismatch", f"{entry.label} does not recompute from payload")
         return "all output measurements recompute"
 
-    def _check_references(self, response: AttestationResponse) -> str:
-        op_name = response.mset.op.name
+    def _check_references(self, ev: _Evidence) -> str:
+        mset = ev.response.mset
+        op_name = mset.op.name
         checked = 0
-        for entry in (*response.mset.h_i, *response.mset.h_o):
+        for entry in (*mset.h_i, *mset.h_o):
             if entry.label == GPU_LABEL:
                 continue  # GPU evidence has its own check
             refs = self.refstore.refs_for(op_name, entry.label)
@@ -575,36 +593,32 @@ class Verifier:
 
     # -- pipeline -----------------------------------------------------------
 
+    CHECKS = (
+        ("quote_signature", _check_signature),
+        ("challenge_freshness", _check_freshness),
+        ("td_image", _check_td_image),
+        ("td_module", _check_td_module),
+        ("gpu_evidence", _check_gpu),
+        ("measurement_set_binding", _check_mset_binding),
+        ("output_measurements", _check_outputs),
+        ("reference_values", _check_references),
+    )
+
     def verify(
         self,
         response: AttestationResponse,
         request_echo: AttestationRequest,
         now: Optional[float] = None,
     ) -> Verdict:
-        now = time.time() if now is None else now
+        ev = _Evidence(response, request_echo, time.time() if now is None else now)
         checks: list[CheckResult] = []
-
-        def run(name: str, fn) -> object:
+        for name, check in self.CHECKS:
             try:
-                outcome = fn()
+                detail = check(self, ev)
             except _Fail as fail:
                 checks.append(CheckResult(name, False, fail.detail))
-                raise
-            detail = outcome[1] if isinstance(outcome, tuple) else outcome
+                return Verdict("Reject", fail.reason, tuple(checks))
             checks.append(CheckResult(name, True, detail))
-            return outcome[0] if isinstance(outcome, tuple) else outcome
-
-        try:
-            quote = run("quote_signature", lambda: self._check_signature(response))
-            run("challenge_freshness", lambda: self._check_freshness(quote, request_echo.chal, now))
-            run("td_image", lambda: self._check_td_image(quote))
-            run("td_module", lambda: self._check_td_module(quote))
-            run("gpu_evidence", lambda: self._check_gpu(response, request_echo))
-            run("measurement_set_binding", lambda: self._check_mset_binding(response, quote))
-            run("output_measurements", lambda: self._check_outputs(response))
-            run("reference_values", lambda: self._check_references(response))
-        except _Fail as fail:
-            return Verdict("Reject", fail.reason, tuple(checks))
         return Verdict("Accept", None, tuple(checks))
 
     def register_binding(

@@ -3,7 +3,8 @@
 Every frame is a 4-byte little-endian length followed by one UTF-8 JSON
 object with a "type" of REQUEST, RESPONSE, or ERROR. A connection may
 carry any number of frames; a frame the server cannot understand gets an
-ERROR frame back and the connection stays open. Transport adds nothing
+ERROR frame back, and the connection stays open if the frame was read
+whole (one over MAX_FRAME is not, so it closes). Transport adds nothing
 to the trust story: responses are byte-identical to in-process calls,
 and their integrity rests on the quote, not the channel.
 """
@@ -32,6 +33,10 @@ MSG_RESPONSE = "RESPONSE"
 MSG_ERROR = "ERROR"
 
 
+class _OutOfStep(FormatError):
+    """A frame whose body was not read whole; the stream cannot go on."""
+
+
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
     buf = bytearray()
     while len(buf) < n:
@@ -54,10 +59,10 @@ def recv_frame(sock: socket.socket) -> Optional[dict]:
         return None
     (length,) = struct.unpack("<I", header)
     if length > MAX_FRAME:
-        raise FormatError(f"frame of {length} bytes exceeds limit")
+        raise _OutOfStep(f"frame of {length} bytes exceeds limit")
     body = _recv_exact(sock, length)
     if body is None:
-        raise FormatError("stream ended mid-frame")
+        raise _OutOfStep("stream ended mid-frame")
     try:
         message = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -73,10 +78,12 @@ class _Handler(socketserver.BaseRequestHandler):
             try:
                 message = recv_frame(self.request)
             except FormatError as exc:
-                # Unparseable frame: report and keep serving this connection.
+                # Unparseable frame: report it; serve on if the stream is in step.
                 try:
                     send_frame(self.request, {"type": MSG_ERROR, "error": str(exc)})
                 except OSError:
+                    return
+                if isinstance(exc, _OutOfStep):
                     return
                 continue
             except OSError:

@@ -191,3 +191,20 @@ class TestErrors:
         bundle.write_text("{}")
         code, _ = run(capsys, "verify", str(bundle))
         assert code == 2
+
+
+class TestOperationChoices:
+    def test_ref_add_unknown_op_exits_2_and_leaves_store(self, provisioned, capsys):
+        store = provisioned / "refstore.json"
+        before = store.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ref", "add", "--op", "Trainig", "--label", "h(Dtr)",
+                      "--digest", sha3_256(b"x").hex()])
+        assert exc.value.code == 2
+        assert "invalid choice: 'Trainig'" in capsys.readouterr().err
+        assert store.read_bytes() == before
+
+    def test_request_unknown_op_exits_2(self, provisioned):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["request", "--endpoint", "127.0.0.1:1", "--op", "Distillation"])
+        assert exc.value.code == 2

@@ -13,9 +13,10 @@ from palm.dataset import write_dataset
 from palm.dataset import MappedDataset
 from palm.encoding import sha3_256
 from palm.errors import PalmError, SchemaError
-from palm.measurers import GpuToken, LabeledMeasurement, MeasurementSet
+from palm.measurers import OP_CODES, GpuToken, LabeledMeasurement, MeasurementSet
 from palm.msh import msh_of_records
 from palm.protocol import (
+    OPS,
     AttestationRequest,
     AttestationResponse,
     Verifier,
@@ -25,6 +26,7 @@ from palm.protocol import (
 from palm.refstore import ReferenceStore
 from palm.toyops import preproc_record
 from palm.transport import (
+    MAX_FRAME,
     MSG_ERROR,
     MSG_REQUEST,
     MSG_RESPONSE,
@@ -642,3 +644,198 @@ class TestPooledAdversary:
         tampered = fixture.make_request("pooled-tamper")
         verdict = Verifier(fixture.refstore).verify(prover_handle(tampered, ctx), tampered)
         assert verdict.reason == "ReferenceMismatch"
+
+
+class TestOperationTable:
+    def test_table_and_wire_codes_name_the_same_eight_operations(self):
+        assert len(OPS) == 8
+        assert set(OPS) == set(OP_CODES)
+        assert all(name == spec.name for name, spec in OPS.items())
+
+    def test_prover_calls_what_the_module_names_at_call_time(self, fixture, ctx, monkeypatch):
+        """A harness that replaces a measurer, loader or decoder (to trace it)
+        sees every call the prover makes."""
+        from palm import protocol
+        from palm.toyops import ToyModel, ToyTokenizer
+
+        calls = []
+
+        def spy(owner, attr, as_classmethod=False):
+            real = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                calls.append(attr)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, classmethod(lambda cls, doc: counted(doc))
+                                if as_classmethod else counted)
+
+        spy(protocol, "measure_training")
+        spy(protocol, "measure_inference")
+        spy(protocol, "load_in_memory")
+        spy(ToyModel, "from_json", as_classmethod=True)
+        spy(ToyTokenizer, "from_json", as_classmethod=True)
+        req = fixture.make_request("traced")
+        prover_handle(AttestationRequest(req.op, req.chal, req.inputs, "inmem", True), ctx)
+        prover_handle(TestNonLatin1Text()._inference(fixture, "traced", "snow"), ctx)
+        assert calls == ["load_in_memory", "from_json", "measure_training",
+                         "from_json", "from_json", "measure_inference"]
+
+
+def _optimization(fixture, tag: str, id_opt: str) -> AttestationRequest:
+    return build_request(
+        "WeightOptimization",
+        {"model": TestNonLatin1Text.MODEL, "tokenizer": fixture.tokenizer.to_json(),
+         "train_config": fixture.config.to_json(), "id_opt": id_opt},
+        nonce_chal(tag),
+    )
+
+
+def _inference_doc(fixture, tag: str) -> dict:
+    return build_request(
+        "SingleInference",
+        {"model": TestNonLatin1Text.MODEL, "tokenizer": fixture.tokenizer.to_json(),
+         "query": "snow"},
+        nonce_chal(tag),
+    ).to_json()
+
+
+def _bad_mode(doc, fixture):
+    doc["mode"] = "zzz"
+
+
+def _missing_input(doc, fixture):
+    del doc["inputs"]["query"]
+
+
+def _unknown_input(doc, fixture):
+    doc["inputs"]["temperature"] = 0.5
+
+
+def _timestamp_inference(doc, fixture):
+    doc["chal"] = Challenge.from_timestamp().encode().hex()
+
+
+def _mismatched_id_opt(doc, fixture):
+    doc.clear()
+    doc.update(_optimization(fixture, "mismatch", "quantize").to_json())
+    doc["inputs"]["id_opt"] = "prune"
+
+
+SCHEMA_FAULTS = [_bad_mode, _missing_input, _unknown_input, _timestamp_inference,
+                 _mismatched_id_opt]
+
+
+class TestServedSchema:
+    """A request is held to its operation's schema wherever it is decoded,
+    so a served prover refuses a malformed request before proving it."""
+
+    @pytest.mark.parametrize("fault", SCHEMA_FAULTS, ids=lambda f: f.__name__[1:])
+    def test_from_json_raises_schema_error(self, fixture, fault):
+        doc = _inference_doc(fixture, "doc")
+        fault(doc, fixture)
+        with pytest.raises(SchemaError):
+            AttestationRequest.from_json(doc)
+
+    @pytest.mark.parametrize("fault", SCHEMA_FAULTS, ids=lambda f: f.__name__[1:])
+    def test_error_frame_then_connection_serves(self, fixture, ctx, fault, caplog):
+        doc = _inference_doc(fixture, "served")
+        fault(doc, fixture)
+        good = build_request(
+            "SingleInference",
+            {"model": TestNonLatin1Text.MODEL, "tokenizer": fixture.tokenizer.to_json(),
+             "query": "snow"},
+            nonce_chal(f"after-{fault.__name__}"),
+        )
+        server = serve_background(("127.0.0.1", 0), ctx)
+        try:
+            with socket.create_connection(server.endpoint, timeout=10) as sock:
+                send_frame(sock, {"type": MSG_REQUEST, "body": doc})
+                error = recv_frame(sock)
+                assert error["type"] == MSG_ERROR
+                assert error["error"].startswith("SchemaError"), error["error"]
+                send_frame(sock, {"type": MSG_REQUEST, "body": good.to_json()})
+                message = recv_frame(sock)
+                assert message["type"] == MSG_RESPONSE
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert "prover failed on a request" not in caplog.text
+        response = AttestationResponse.from_json(message["body"])
+        assert Verifier(fixture.refstore).verify(response, good).accepted
+
+    def test_direct_construction_is_checked(self, fixture):
+        req = fixture.make_request("direct")
+        with pytest.raises(SchemaError, match="unknown mode"):
+            AttestationRequest(req.op, req.chal, req.inputs, "zzz")
+        with pytest.raises(SchemaError, match="does not take inputs"):
+            AttestationRequest(req.op, req.chal, dict(req.inputs, extra=1))
+        quantize = _optimization(fixture, "direct", "quantize")
+        with pytest.raises(SchemaError, match="disagrees"):
+            AttestationRequest(quantize.op, quantize.chal, dict(quantize.inputs, id_opt="prune"))
+
+
+class TestVerifierBindsOperation:
+    """A measurement set answers the operation the relying party asked for:
+    evidence of another operation under the same challenge is Malformed."""
+
+    def _assert_malformed_at_binding(self, verdict):
+        assert (verdict.result, verdict.reason) == ("Reject", "Malformed")
+        assert verdict.checks[-1].name == "measurement_set_binding"
+        assert not verdict.checks[-1].passed
+
+    def test_preprocessing_response_under_training_echo(self, fixture, ctx, verifier):
+        training = fixture.make_request("op-swap")
+        preprocessing = build_request(
+            "Preprocessing", {"dataset": fixture.dataset_name}, training.chal,
+            mode="mapped", want_gpu=True,
+        )
+        response = prover_handle(preprocessing, ctx)
+        self._assert_malformed_at_binding(verifier.verify(response, training))
+
+    def test_id_opt_disagreement(self, fixture, ctx, verifier):
+        prune = _optimization(fixture, "id-opt-swap", "prune")
+        quantize = _optimization(fixture, "id-opt-swap", "quantize")
+        assert prune.chal == quantize.chal
+        response = prover_handle(prune, ctx)
+        self._assert_malformed_at_binding(verifier.verify(response, quantize))
+        assert Verifier(fixture.refstore).verify(response, prune).accepted
+
+
+class TestTokenizerText:
+    def test_non_latin1_token_never_runs_inference(self, fixture, ctx, monkeypatch):
+        from palm import protocol
+
+        calls = []
+        real = protocol.measure_inference
+        monkeypatch.setattr(protocol, "measure_inference",
+                            lambda *a: calls.append(a) or real(*a))
+        vocab = fixture.tokenizer.to_json()["vocab"]
+        tokenizer = {"vocab": dict(vocab, **{"snow\u2603": len(vocab)})}
+        bad = build_request(
+            "SingleInference",
+            {"model": TestNonLatin1Text.MODEL, "tokenizer": tokenizer, "query": "snow"},
+            nonce_chal("snowman-token"),
+        )
+        with pytest.raises(SchemaError, match="tokenizer vocabulary"):
+            prover_handle(bad, ctx)
+        TestInputRanges()._served(ctx, bad, r"^server error: SchemaError: tokenizer vocabulary")
+        assert calls == []
+
+
+class TestOversizedFrame:
+    def test_error_frame_then_close_and_server_still_serves(self, fixture, ctx, verifier):
+        server = serve_background(("127.0.0.1", 0), ctx)
+        try:
+            with socket.create_connection(server.endpoint, timeout=10) as sock:
+                sock.sendall(struct.pack("<I", MAX_FRAME + 1))
+                error = recv_frame(sock)
+                assert error["type"] == MSG_ERROR
+                assert "exceeds limit" in error["error"]
+                assert recv_frame(sock) is None  # closed, not reading on
+            req = TestNonLatin1Text()._inference(fixture, "after-oversize", "snow")
+            assert verifier.verify(request_over_tcp(server.endpoint, req, timeout=10),
+                                   req).accepted
+        finally:
+            server.shutdown()
+            server.server_close()
