@@ -28,7 +28,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .encoding import Reader, u32, u64
+from .encoding import u32, u64
 from .errors import (
     DuplicateAccess,
     FormatError,
@@ -36,7 +36,7 @@ from .errors import (
     IndexOutOfRange,
     ParamsMismatch,
 )
-from .msh import DEFAULT_PARAMS, MshAccumulator, MshDigest, MshParams
+from .msh import MshAccumulator, MshDigest
 
 MAGIC = b"PALMDS1\x00"
 HEADER_LEN = len(MAGIC) + 8
@@ -81,13 +81,11 @@ def write_dataset(path: str | os.PathLike, records: Sequence[bytes]) -> None:
 
 def unpack_records(data: bytes) -> tuple[bytes, ...]:
     """Parse container bytes back into records, validating the full layout."""
-    r = Reader(data)
-    if r.take(len(MAGIC)) != MAGIC:
-        raise FormatError("bad magic")
-    count = r.u64()
-    records = tuple(r.lp() for _ in range(count))
-    r.expect_end()
-    return records
+    view = memoryview(data)
+    return tuple(
+        data[offset : offset + length]
+        for offset, length in record_spans(lambda offset: view[offset:], len(data))
+    )
 
 
 def record_spans(read_at: Callable[[int], bytes], size: int) -> Iterator[tuple[int, int]]:
@@ -157,9 +155,8 @@ class MappedDataset:
 
     mode = "mapped"
 
-    def __init__(self, path: str | os.PathLike, params: MshParams = DEFAULT_PARAMS):
+    def __init__(self, path: str | os.PathLike):
         self.path = os.fspath(path)
-        self.params = params
         self._file = open(self.path, "rb", buffering=0)
         self._fd = self._file.fileno()
         try:
@@ -172,7 +169,7 @@ class MappedDataset:
             raise
         self._seen = bytearray((len(self._spans) + 7) // 8)
         self._lock = threading.Lock()
-        self.accumulator = MshAccumulator(params)
+        self.accumulator = MshAccumulator()
 
     def __len__(self) -> int:
         return len(self._spans)

@@ -11,6 +11,9 @@ operation that declared GPU use is a verifier-visible condition, so
 measurers never fabricate a placeholder. OP_CODES lists each operation's
 labels.
 
+Every operation on a dataset handle makes one pass over it (_one_pass), so
+a mapped dataset streams into the operation in one exactly-once epoch and
+no copy of it is built; Training's epochs scale the counts of that pass.
 Measurers that take a dataset also take an optional MshPool. A mapped epoch
 is then hashed by the pool's workers: every record is still sampled, claimed
 and consumed here, once, and the bytes consumed are the bytes hashed.
@@ -33,7 +36,7 @@ from .dataset import (
 )
 from .encoding import lp, sha3_256, u32
 from .errors import FormatError, PalmError
-from .msh import MshAccumulator, MshPool, msh_of_records
+from .msh import MshAccumulator, MshDigest, MshPool, msh_of_records
 from .toyops import (
     History,
     ToyModel,
@@ -196,21 +199,15 @@ def _dataset_entry(role: str, dh: DatasetHash) -> LabeledMeasurement:
     return LabeledMeasurement(f"MSH({role})", dh.multiset.encode())
 
 
-def _sampled(ds: MappedDataset, into: MshAccumulator) -> Iterator[bytes]:
-    """One exactly-once epoch in index order; each record is measured into
-    `into` as it is sampled, one sample_record call per index."""
-    for index in range(len(ds)):
-        yield ds.sample_record(index, into)
-
-
 def _one_pass(
     ds: Dataset, op: Callable[[Iterable[bytes]], T], pool: Optional[MshPool] = None
 ) -> tuple[T, DatasetHash]:
-    """Run a single-pass operation over a dataset and measure the dataset.
+    """Run an operation over one pass of a dataset and measure the dataset.
 
-    In-memory handles hand over the records hashed whole at load. Mapped
-    handles are streamed: the operation consumes each record as
-    sample_record returns it, no record list is built, and the epoch is
+    Every operation on a dataset handle runs through here. In-memory handles
+    hand over the records hashed whole at load. Mapped handles are streamed:
+    the operation consumes each record as sample_record returns it, one call
+    per index in index order, no record list is built, and the epoch is
     finished after the pass, so a record withheld, served twice, or left
     unconsumed by the operation fails the run. The records are folded into
     an accumulator (hashed by the pool's workers when there is a pool) that
@@ -218,24 +215,9 @@ def _one_pass(
     """
     if isinstance(ds, InMemoryDataset):
         return op(ds.records), ds.dataset_hash()
-    acc = MshAccumulator(ds.params, pool)
-    result = op(_sampled(ds, acc))
+    acc = MshAccumulator(pool=pool)
+    result = op(ds.sample_record(index, acc) for index in range(len(ds)))
     return result, finish_epoch(ds, [acc])
-
-
-def _ingest(
-    ds: Dataset, pool: Optional[MshPool] = None
-) -> tuple[tuple[bytes, ...], DatasetHash]:
-    """Pull all records out of a dataset handle along with its measurement.
-
-    Used by the operations that pass over the records several times:
-    Training and WeightOptimization run epochs. In-memory handles were
-    hashed whole at load. Mapped handles get one full exactly-once epoch
-    here, measuring each record as it is sampled; the records are
-    materialized so later passes stay inside already-measured memory.
-    Single-pass operations use _one_pass instead and build no record list.
-    """
-    return _one_pass(ds, tuple, pool)
 
 
 def _kept(into: list, items: Iterable[T]) -> Iterator[T]:
@@ -275,12 +257,14 @@ def measure_preprocessing(
         out_entry = LabeledMeasurement("h(Dpre)", sha3_256(packed))
     else:
         produced: list[bytes] = []
-        acc = MshAccumulator(ds.params, pool)
-        d_pre_stream = map(preproc_record, _sampled(ds, acc))
-        if keep_output:
-            d_pre_stream = _kept(produced, d_pre_stream)
-        d_pre_msh = msh_of_records(d_pre_stream, pool=pool)
-        dh = finish_epoch(ds, [acc])
+
+        def fold(records: Iterable[bytes]) -> MshDigest:
+            d_pre_stream = map(preproc_record, records)
+            if keep_output:
+                d_pre_stream = _kept(produced, d_pre_stream)
+            return msh_of_records(d_pre_stream, pool=pool)
+
+        d_pre_msh, dh = _one_pass(ds, fold, pool)
         d_pre = tuple(produced)
         out_entry = LabeledMeasurement("MSH(Dpre)", d_pre_msh.encode())
         packed = None  # packed only if the payload is read
@@ -338,8 +322,7 @@ def measure_training(
     gpu: Optional[GpuToken] = None,
     pool: Optional[MshPool] = None,
 ) -> Measured:
-    records, dh = _ingest(ds_tr, pool)
-    model = train(arch, records, config, tokenizer)
+    model, dh = _one_pass(ds_tr, lambda records: train(arch, records, config, tokenizer), pool)
     model_bytes = model.serialized_bytes()
     mset = MeasurementSet(
         OperationId("Training"),
@@ -367,11 +350,13 @@ def measure_optimization(
     gpu: Optional[GpuToken] = None,
     pool: Optional[MshPool] = None,
 ) -> Measured:
-    d_opt_records = None
     opt_dh = None
-    if ds_opt is not None:
-        d_opt_records, opt_dh = _ingest(ds_opt, pool)
-    optimized = optimize(model, tokenizer, config, id_opt, adp, d_opt_records)
+    if ds_opt is None:
+        optimized = optimize(model, tokenizer, config, id_opt, adp)
+    else:
+        optimized, opt_dh = _one_pass(
+            ds_opt, lambda d_opt: optimize(model, tokenizer, config, id_opt, adp, d_opt), pool
+        )
     optimized_bytes = optimized.serialized_bytes()
     h_i = [
         LabeledMeasurement("h(M)", sha3_256(model.serialized_bytes())),

@@ -108,13 +108,16 @@ def _tokenizer(doc, ctx) -> ToyTokenizer:
     return tokenizer
 
 
+def _staged(name, ctx) -> str:
+    """A staged file, named by a plain file name: no request reaches a file
+    outside the staging directory."""
+    if name in ("", ".", "..") or "\0" in name or os.path.basename(name) != name:
+        raise SchemaError(f"dataset name {name!r} is not a plain file name")
+    return os.path.join(ctx.staging_dir, name)
+
+
 def _history(pairs, ctx) -> History:
-    try:
-        return tuple(
-            (_latin1(q, "history query"), _latin1(r, "history response")) for q, r in pairs
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"history is not a list of (query, response) pairs: {exc}") from exc
+    return tuple((_latin1(q, "history query"), _latin1(r, "history response")) for q, r in pairs)
 
 
 # Input name -> decoder(value, ctx); arch and id_opt pass as given. Functions
@@ -124,8 +127,8 @@ _DECODERS = {
     "adapter": lambda doc, ctx: ToyModel.from_json(doc),
     "tokenizer": _tokenizer,
     "train_config": lambda doc, ctx: TrainConfig.from_json(doc),
-    "dataset": lambda name, ctx: os.path.join(ctx.staging_dir, name),
-    "opt_dataset": lambda name, ctx: os.path.join(ctx.staging_dir, name),
+    "dataset": _staged,
+    "opt_dataset": _staged,
     "query": lambda text, ctx: _latin1(text, "query"),
     "history": _history,
 }
@@ -134,8 +137,10 @@ _DECODERS = {
 @dataclass
 class _Run:
     """One request being proved. Indexing returns an input decoded by its
-    name's decoder, or None for an absent optional input; `open` opens a
-    staged dataset the way the request holds it, closed with `handles`."""
+    name's decoder, or None for an absent optional input; an input that does
+    not decode (a key missing, a value of the wrong type or out of range) is
+    a SchemaError. `open` opens a staged dataset the way the request holds
+    it, closed with `handles`."""
 
     request: AttestationRequest
     ctx: TdContext
@@ -146,7 +151,10 @@ class _Run:
         if name not in self.request.inputs:
             return None
         decode = _DECODERS.get(name, lambda value, ctx: value)
-        return decode(self.request.inputs[name], self.ctx)
+        try:
+            return decode(self.request.inputs[name], self.ctx)
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise SchemaError(f"bad {name}: {exc}") from exc
 
     def open(self, path: Optional[str]):
         if path is None:

@@ -13,7 +13,6 @@ reserved for out-of-vocabulary tokens.
 
 from __future__ import annotations
 
-import random
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -95,7 +94,9 @@ class ToyTokenizer:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Seeded training schedule; fully determines training given the data."""
+    """Seeded training schedule, measured in h(T). Counts ignore record order,
+    so `train` counts one pass and scales it by `epochs`: the seeded order
+    that `sampling` names is measured but never replayed."""
 
     seed: int = 0
     epochs: int = 1
@@ -338,26 +339,25 @@ def serialize_distribution(hist: dict[int, int]) -> bytes:
 
 def train(
     kind: str,
-    records: Sequence[bytes],
+    records: Iterable[bytes],
     config: TrainConfig,
     tokenizer: ToyTokenizer,
 ) -> ToyModel:
-    """Count (context, token) pairs over the records, epochs times.
+    """Count (context, token) pairs over one pass of the records, times epochs.
 
-    Counts are order-insensitive, so sampling order cannot change the model;
-    it is still honored so the consumption schedule is well-defined. Every
-    epoch's records are tokenised in order, then all pairs are counted by one
-    sort of their keys `context * |vocab| + token`, which leaves the rows in
-    (context, token) order.
+    An epoch holds every record once and no pair crosses a record boundary,
+    so E epochs count exactly E times what one pass counts, in any sampling
+    order: the schedule is measured in h(T) but never replayed. The pass is
+    read whole even at 0 epochs, which give the empty model. Records are
+    tokenised in order, then all pairs are counted by one sort of their keys
+    `context * |vocab| + token`, which leaves the rows in (context, token)
+    order. A count past u64 raises.
     """
     _check_kind(kind)
     ids_of = {tok.encode("latin-1"): tid for tok, tid in tokenizer.vocab.items()}
-    split: list[list[bytes]] = []
-    for epoch in range(config.epochs):
-        order = list(range(len(records)))
-        if config.sampling == "shuffled":
-            random.Random(config.seed + epoch).shuffle(order)
-        split += [records[idx].split() for idx in order]
+    split = [record.split() for record in records]
+    if not config.epochs:
+        return ToyModel.empty(kind)
     ids = np.array(list(map(ids_of.get, chain.from_iterable(split), repeat(UNK_ID))), np.uint64)
     prev = np.zeros_like(ids)
     if kind == "bigram":
@@ -366,6 +366,9 @@ def train(
         prev[firsts[firsts < len(ids)]] = 0
     width = np.uint64(max(len(tokenizer.vocab), 1))
     keys, freqs = np.unique(prev * width + ids, return_counts=True)
+    if len(freqs) and int(freqs.max()) * config.epochs >= 2**64:
+        raise ValueError("trained count overflows u64")
+    freqs = freqs.astype(np.uint64) * np.uint64(config.epochs)
     # A unigram model that sampled any record has context 0, tokens or not.
     contexts = np.zeros(min(len(split), 1), np.uint32) if kind == "unigram" else None
     return ToyModel._from_rows(kind, keys // width, keys % width, freqs, contexts)
@@ -377,7 +380,7 @@ def optimize(
     config: TrainConfig,
     id_opt: str,
     adp: Optional[ToyModel] = None,
-    d_opt: Optional[Sequence[bytes]] = None,
+    d_opt: Optional[Iterable[bytes]] = None,
 ) -> ToyModel:
     """Apply one named optimization; finetune consumes d_opt, the others must not."""
     if id_opt not in OPTIMIZATIONS:

@@ -35,9 +35,11 @@ from palm.toyops import (
     TrainConfig,
     attribute_distribution,
     evaluate,
+    optimize,
     preproc,
     serialize_distribution,
     serialize_history,
+    train,
 )
 
 from reference import oracle_encode, oracle_msh
@@ -316,6 +318,8 @@ class _TamperAfterFirstDataset(MappedDataset):
         return record
 
 
+STREAM_CONFIG = TrainConfig(seed=5, epochs=3, sampling="shuffled")
+
 STREAMED_OPS = {
     "Preprocessing": (lambda m, t, ds: measure_preprocessing(ds), "MSH(D)",
                       lambda m, t, records: pack_records(preproc(records))),
@@ -324,7 +328,19 @@ STREAMED_OPS = {
                                   attribute_distribution(records))),
     "Evaluation": (lambda m, t, ds: measure_evaluation(m, t, ds), "MSH(Dte)",
                    lambda m, t, records: evaluate(m, t, records).encode()),
+    "Training": (lambda m, t, ds: measure_training("bigram", ds, STREAM_CONFIG, t), "MSH(Dtr)",
+                 lambda m, t, records: train("bigram", records, STREAM_CONFIG, t)
+                 .serialized_bytes()),
+    "finetune": (lambda m, t, ds: measure_optimization(m, t, STREAM_CONFIG, "finetune",
+                                                       ds_opt=ds), "MSH(Dopt)",
+                 lambda m, t, records: optimize(m, t, STREAM_CONFIG, "finetune", d_opt=records)
+                 .serialized_bytes()),
 }
+
+
+def dataset_entry(m, label):
+    (entry,) = [e for e in m.mset.h_i if e.label == label]
+    return entry
 
 
 @pytest.fixture
@@ -340,8 +356,7 @@ class TestStreamedEpochFailsClosed:
         run, label, expected_payload = STREAMED_OPS[op]
         with MappedDataset(eval_path) as ds:
             m = run(model, tokenizer, ds)
-        entry = m.mset.h_i[-1]
-        assert entry.label == label
+        entry = dataset_entry(m, label)
         assert entry.data == msh_of_records(EVAL_RECORDS).encode()
         assert list(m.outputs.values()) == [expected_payload(model, tokenizer, EVAL_RECORDS)]
 
@@ -363,11 +378,29 @@ class TestStreamedEpochFailsClosed:
         with _TamperAfterFirstDataset(eval_path) as ds:
             m = run(model, tokenizer, ds)
         seen = EVAL_RECORDS[:-1] + [_tampered(len(EVAL_RECORDS[-1]))]
-        entry = m.mset.h_i[-1]
-        assert entry.label == label
+        entry = dataset_entry(m, label)
         assert entry.data != msh_of_records(EVAL_RECORDS).encode()
         assert entry.data == msh_of_records(seen).encode()
         assert list(m.outputs.values()) == [expected_payload(model, tokenizer, seen)]
+
+
+class TestZeroEpochs:
+    """No epoch of training still reads and measures the one pass, so the
+    quote names the dataset, and the model is left as it was."""
+
+    @pytest.mark.parametrize("op", ["Training", "finetune"])
+    def test_mapped_pass_is_finished_and_measured(self, op, eval_path, model, tokenizer):
+        config = TrainConfig(seed=5, epochs=0, sampling="shuffled")
+        with MappedDataset(eval_path) as ds:
+            if op == "Training":
+                m = measure_training("bigram", ds, config, tokenizer)
+                assert m.result.counts == {}
+            else:
+                m = measure_optimization(model, tokenizer, config, "finetune", ds_opt=ds)
+                assert m.result == model
+            assert ds.missing_indices() == []
+        entry = dataset_entry(m, STREAMED_OPS[op][1])
+        assert entry.data == msh_of_records(EVAL_RECORDS).encode()
 
 
 class TestPayloadsOnDemand:
@@ -404,6 +437,10 @@ POOLED_OPS = {
     "Preprocessing": lambda m, t, ds, pool: measure_preprocessing(ds, pool=pool),
     "AttributeDistribution": lambda m, t, ds, pool: measure_attribute_distribution(ds, pool=pool),
     "Evaluation": lambda m, t, ds, pool: measure_evaluation(m, t, ds, pool=pool),
+    "Training": lambda m, t, ds, pool: measure_training("bigram", ds, STREAM_CONFIG, t,
+                                                        pool=pool),
+    "finetune": lambda m, t, ds, pool: measure_optimization(m, t, STREAM_CONFIG, "finetune",
+                                                            ds_opt=ds, pool=pool),
 }
 
 
@@ -416,7 +453,8 @@ class TestPooledEpochFailsClosed:
         with mock.patch.object(msh, "FLUSH_RECORDS", 2), MappedDataset(eval_path) as ds:
             pooled = POOLED_OPS[op](model, tokenizer, ds, msh_pool)
         assert pooled.mset == in_process.mset
-        assert pooled.mset.h_i[-1].data == msh_of_records(EVAL_RECORDS).encode()
+        assert dataset_entry(pooled, STREAMED_OPS[op][1]).data == msh_of_records(
+            EVAL_RECORDS).encode()
         assert pooled.outputs == in_process.outputs
 
     def test_record_served_twice(self, op, eval_path, model, tokenizer, msh_pool):
@@ -433,7 +471,7 @@ class TestPooledEpochFailsClosed:
         with _TamperAfterFirstDataset(eval_path) as ds:
             m = POOLED_OPS[op](model, tokenizer, ds, msh_pool)
         seen = EVAL_RECORDS[:-1] + [_tampered(len(EVAL_RECORDS[-1]))]
-        assert m.mset.h_i[-1].data == msh_of_records(seen).encode()
+        assert dataset_entry(m, STREAMED_OPS[op][1]).data == msh_of_records(seen).encode()
         assert list(m.outputs.values()) == [STREAMED_OPS[op][2](model, tokenizer, seen)]
 
 

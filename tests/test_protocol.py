@@ -439,13 +439,18 @@ class TestNonLatin1Text:
             server.shutdown()
             server.server_close()
 
-    def test_unexpected_prover_exception_is_an_error_frame(self, fixture, ctx, caplog):
-        req = fixture.make_request("bad-sampling")
-        inputs = dict(req.inputs, train_config={"seed": 1, "epochs": 1, "sampling": "zzz"})
-        bad = AttestationRequest(req.op, req.chal, inputs, req.mode, req.want_gpu)
+    def test_unexpected_prover_exception_is_an_error_frame(self, fixture, ctx, caplog,
+                                                           monkeypatch):
+        from palm import protocol
+
+        def defect(*args):
+            raise RuntimeError("measurer defect")
+
+        monkeypatch.setattr(protocol, "measure_training", defect)
+        bad = fixture.make_request("defect")
         server = serve_background(("127.0.0.1", 0), ctx)
         try:
-            with pytest.raises(PalmError, match=r"^server error: ValueError: unknown sampling"):
+            with pytest.raises(PalmError, match=r"^server error: RuntimeError: measurer defect"):
                 request_over_tcp(server.endpoint, bad, timeout=10)
             good = self._inference(fixture, "after", "snow")
             assert request_over_tcp(server.endpoint, good, timeout=10).mset.op.name == good.op.name
@@ -477,7 +482,7 @@ class TestInputRanges:
         req = fixture.make_request("negative-seed")
         inputs = dict(req.inputs, train_config={"seed": -1, "epochs": 1, "sampling": "shuffled"})
         bad = AttestationRequest(req.op, req.chal, inputs, req.mode, req.want_gpu)
-        self._served(ctx, bad, r"^server error: ValueError: seed -1 outside")
+        self._served(ctx, bad, r"^server error: SchemaError: bad train_config: seed -1 outside")
         assert calls == []
 
     def test_oversized_count_is_an_error_frame(self, fixture, ctx):
@@ -487,7 +492,103 @@ class TestInputRanges:
             {"model": model, "tokenizer": fixture.tokenizer.to_json(), "query": "q"},
             nonce_chal("oversized-count"),
         )
-        self._served(ctx, bad, r"^server error: ValueError: count outside \[0, 2\*\*64\)")
+        self._served(ctx, bad, r"^server error: SchemaError: bad model: count outside \[0, 2\*\*64\)")
+
+
+    def test_bad_sampling_is_a_schema_error_not_a_defect(self, fixture, ctx, caplog):
+        req = fixture.make_request("bad-sampling")
+        inputs = dict(req.inputs, train_config={"seed": 1, "epochs": 1, "sampling": "zzz"})
+        bad = AttestationRequest(req.op, req.chal, inputs, req.mode, req.want_gpu)
+        self._served(ctx, bad, r"^server error: SchemaError: bad train_config: unknown sampling")
+        assert "prover failed on a request" not in caplog.text
+
+    @pytest.mark.parametrize("name, value", [
+        ("train_config", {"seed": 1, "sampling": "shuffled"}),
+        ("train_config", {"seed": float("inf"), "epochs": 1, "sampling": "shuffled"}),
+        ("train_config", [1, 1, "shuffled"]),
+        ("tokenizer", {"vocab": ["a", "b"]}),
+        ("tokenizer", {"vocab": {"a": "one"}}),
+        ("model", {"kind": "trigram", "counts": {}}),
+        ("model", {"kind": "unigram", "counts": {"0": {"x": 1}}}),
+        ("adapter", {"kind": "unigram"}),
+    ])
+    def test_malformed_document_never_runs(self, fixture, ctx, monkeypatch, name, value):
+        from palm import protocol
+
+        calls = []
+        for measurer in ("measure_training", "measure_optimization", "measure_inference"):
+            monkeypatch.setattr(protocol, measurer, lambda *a, **k: calls.append(a))
+        if name in ("train_config", "tokenizer"):
+            req = fixture.make_request(f"bad-{name}")
+        elif name == "model":
+            req = TestNonLatin1Text()._inference(fixture, "bad-model", "snow")
+        else:
+            req = _optimization(fixture, "bad-adapter", "quantize")
+        bad = AttestationRequest(req.op, req.chal, dict(req.inputs, **{name: value}), req.mode)
+        with pytest.raises(SchemaError, match=f"^bad {name}: "):
+            prover_handle(bad, ctx)
+        assert calls == []
+
+
+class TestStagingNames:
+    """A request names a staged dataset by a plain file name; a name that
+    leads out of the staging directory is refused before any file opens."""
+
+    @pytest.fixture
+    def staged(self, fixture, ctx, tmp_path, monkeypatch):
+        """The context stages into an empty subdirectory, next to a dataset
+        that a request must not be able to reach."""
+        from palm import protocol
+
+        write_dataset(tmp_path / "outside.palmds", fixture.records)
+        ctx.staging_dir = str(tmp_path / "staging")
+        os.mkdir(ctx.staging_dir)
+        opened = []
+        monkeypatch.setattr(protocol, "load_in_memory", lambda path: opened.append(path))
+        ctx.mapped_opener = lambda path: opened.append(path)
+        monkeypatch.setattr(protocol, "measure_binding", lambda path: opened.append(path))
+        return opened
+
+    @staticmethod
+    def _name(tmp_path, name: str) -> str:
+        return str(tmp_path / "outside.palmds") if name == "absolute" else name
+
+    @pytest.mark.parametrize("name", ["../outside.palmds", "absolute", "staging/../x",
+                                      ".", "..", "", "train\0.palmds", 7])
+    @pytest.mark.parametrize("op", ["Preprocessing", "MeasurementBinding", "finetune"])
+    def test_prover_refuses(self, fixture, ctx, staged, tmp_path, name, op):
+        name = self._name(tmp_path, name)
+        if op == "finetune":
+            req = _optimization(fixture, "escape", "finetune", opt_dataset=name)
+        else:
+            req = build_request(op, {"dataset": name}, nonce_chal("escape"), mode="mapped")
+        with pytest.raises(SchemaError, match="not a plain file name|bad (opt_)?dataset"):
+            prover_handle(req, ctx)
+        assert staged == []
+
+    @pytest.mark.parametrize("name", ["../outside.palmds", "absolute"])
+    def test_error_frame_then_connection_serves(self, fixture, ctx, staged, tmp_path, name,
+                                                caplog):
+        bad = build_request("Preprocessing", {"dataset": self._name(tmp_path, name)},
+                            nonce_chal("escape-tcp"))
+        good = TestNonLatin1Text()._inference(fixture, "after-escape", "snow")
+        server = serve_background(("127.0.0.1", 0), ctx)
+        try:
+            with socket.create_connection(server.endpoint, timeout=10) as sock:
+                send_frame(sock, {"type": MSG_REQUEST, "body": bad.to_json()})
+                error = recv_frame(sock)
+                assert error["type"] == MSG_ERROR
+                assert error["error"].startswith("SchemaError"), error["error"]
+                send_frame(sock, {"type": MSG_REQUEST, "body": good.to_json()})
+                message = recv_frame(sock)
+                assert message["type"] == MSG_RESPONSE
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert staged == []
+        assert "prover failed on a request" not in caplog.text
+        response = AttestationResponse.from_json(message["body"])
+        assert Verifier(fixture.refstore).verify(response, good).accepted
 
 
 class TestDatasetHandlesClosed:
@@ -682,11 +783,11 @@ class TestOperationTable:
                          "from_json", "from_json", "measure_inference"]
 
 
-def _optimization(fixture, tag: str, id_opt: str) -> AttestationRequest:
+def _optimization(fixture, tag: str, id_opt: str, **inputs) -> AttestationRequest:
     return build_request(
         "WeightOptimization",
         {"model": TestNonLatin1Text.MODEL, "tokenizer": fixture.tokenizer.to_json(),
-         "train_config": fixture.config.to_json(), "id_opt": id_opt},
+         "train_config": fixture.config.to_json(), "id_opt": id_opt, **inputs},
         nonce_chal(tag),
     )
 

@@ -1,11 +1,16 @@
 """Toy operation semantics: the examples every measurement hash rests on."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import palm
 from palm.errors import FormatError, MissingDataset, UnknownOptimization
 from palm.toyops import (
     MODEL_KINDS,
@@ -127,6 +132,48 @@ class TestTrain:
             ctx: {tid: 2 * n for tid, n in entries.items()}
             for ctx, entries in one.counts.items()
         }
+
+    def test_largest_epoch_count_trains_in_one_pass_of_memory(self, corpus, tokenizer):
+        """Epochs scale the counts of one pass, so 2**32 - 1 of them train
+        under a 1 GiB address-space cap, in a child process that a replay of
+        every epoch would take down instead of the machine."""
+        epochs = 2**32 - 1
+        child = textwrap.dedent(f"""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from palm.toyops import ToyTokenizer, TrainConfig, train
+            records = {corpus!r}
+            config = TrainConfig(seed=3, epochs={epochs}, sampling="shuffled")
+            model = train("bigram", records, config, ToyTokenizer.build(records))
+            sys.stdout.write(model.serialized_bytes().hex())
+        """)
+        src = os.path.dirname(os.path.dirname(palm.__file__))
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr[-2000:]
+        one = train("bigram", corpus, TrainConfig(epochs=1), tokenizer)
+        scaled = {ctx: {tid: n * epochs for tid, n in entries.items()}
+                  for ctx, entries in one.counts.items()}
+        assert bytes.fromhex(done.stdout) == oracle_model_bytes("bigram", scaled)
+
+    def test_zero_epochs_read_the_whole_pass(self, corpus, tokenizer):
+        read = []
+        model = train("bigram", (read.append(r) or r for r in corpus), TrainConfig(epochs=0),
+                      tokenizer)
+        assert model == ToyModel.empty("bigram")
+        assert read == corpus
+
+    def test_count_past_u64_raises(self, monkeypatch):
+        """A pass would need over 2**32 tokens to get there; feign the count."""
+        from palm import toyops
+
+        tok = ToyTokenizer.build([b"a"])
+        config = TrainConfig(epochs=2**31)
+        assert train("unigram", [b"a"], config, tok).counts == {0: {tok.vocab["a"]: 2**31}}
+        monkeypatch.setattr(toyops.np, "unique",
+                            lambda keys, **kw: (keys[:1], toyops.np.array([2**33 + 1])))
+        with pytest.raises(ValueError, match="overflows u64"):
+            train("unigram", [b"a"], config, tok)
 
     def test_bigram_uses_start_context(self):
         tok = ToyTokenizer.build([b"a b"])
