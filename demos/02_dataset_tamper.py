@@ -14,7 +14,6 @@ from palm import (
     DuplicateAccess,
     IncompleteEpoch,
     MappedDataset,
-    MshAccumulator,
     finish_epoch,
     load_in_memory,
     write_dataset,
@@ -28,27 +27,25 @@ with tempfile.NamedTemporaryFile(suffix=".palmds") as f:
 
     # Trusted-side copy: one plain hash over the file bytes.
     inmem = load_in_memory(f.name)
-    print(f"in-memory: {len(inmem)} records, plain hash {inmem.dataset_hash().hex()[:24]}...")
+    print(f"in-memory: {len(inmem)} records, plain hash {inmem.file_bytes_hash.hex()[:24]}...")
 
-    # Mapped: sample every record exactly once, folding each into an
-    # accumulator as it is read.
+    # Mapped: sample every record exactly once; the handle folds each into
+    # its epoch's accumulator as it is read.
     with MappedDataset(f.name) as ds:
-        acc = MshAccumulator()
         for i in range(len(ds)):
-            ds.sample_record(i, into=acc)
-        clean = finish_epoch(ds, [acc])
+            ds.sample_record(i)
+        clean = finish_epoch(ds)
     print(f"mapped epoch digest: {clean.hex()[:24]}...")
 
     # The exactly-once discipline is enforced, not assumed.
     with MappedDataset(f.name) as ds:
-        acc = MshAccumulator()
-        ds.sample_record(0, into=acc)
+        ds.sample_record(0)
         try:
-            ds.sample_record(0, into=acc)
+            ds.sample_record(0)
         except DuplicateAccess as exc:
             print(f"double sample refused: {exc}")
         try:
-            finish_epoch(ds, [acc])
+            finish_epoch(ds)
         except IncompleteEpoch as exc:
             print(f"short epoch refused: {exc}")
 
@@ -56,11 +53,10 @@ with tempfile.NamedTemporaryFile(suffix=".palmds") as f:
     # started. The sample-time hash folds in what storage actually holds,
     # so the final digest no longer matches the clean one.
     with MappedDataset(f.name) as ds:
-        acc = MshAccumulator()
         for i in range(4):
-            ds.sample_record(i, into=acc)
+            ds.sample_record(i)
         tamper_record(f.name, 5, b"evil data")
         for i in range(4, len(ds)):
-            ds.sample_record(i, into=acc)
-        dirty = finish_epoch(ds, [acc])
+            ds.sample_record(i)
+        dirty = finish_epoch(ds)
     print(f"mid-epoch tamper shifted digest: {dirty != clean}")

@@ -32,7 +32,7 @@ from .attestation import (
 from .dataset import MappedDataset, tamper_record, write_dataset
 from .encoding import sha3_256
 from .errors import PalmError
-from .msh import msh_of_records
+from .msh import MshPool, msh_of_records
 from .protocol import (
     AttestationRequest,
     AttestationResponse,
@@ -156,19 +156,20 @@ class _MidEpochTamperDataset(MappedDataset):
     """Rewrites a later record on disk after a set number of samples,
     modeling storage that mutates underneath an in-progress epoch."""
 
-    def __init__(self, path: str, trigger_after: int, target_index: int):
-        super().__init__(path)
+    def __init__(self, path: str, pool: Optional[MshPool], trigger_after: int,
+                 target_index: int):
+        super().__init__(path, pool)
         self._remaining = trigger_after
         self._target = target_index
 
-    def sample_record(self, index, into=None):
+    def sample_record(self, index):
         if self._remaining == 0:
             self._remaining = -1
             offset, length = self._spans[self._target]
             tamper_record(self.path, self._target, b"X" * length)
         elif self._remaining > 0:
             self._remaining -= 1
-        return super().sample_record(index, into)
+        return super().sample_record(index)
 
 
 class _ShortEpochDataset(MappedDataset):
@@ -215,7 +216,7 @@ def adversary_run(scenario: str, fixture: CleanFixture) -> AdversaryOutcome:
         tamper_record(fixture.dataset_path, 3, fixture.records[1])
     elif scenario == "TamperMappedRecordMidEpoch":
         last = len(fixture.records) - 1
-        ctx.mapped_opener = lambda path: _MidEpochTamperDataset(path, 4, last)
+        ctx.mapped_opener = lambda path, pool: _MidEpochTamperDataset(path, pool, 4, last)
     elif scenario == "SkipRecord":
         ctx.mapped_opener = _ShortEpochDataset
     elif scenario == "ForgeTdReport":

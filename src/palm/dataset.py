@@ -10,13 +10,16 @@ A dataset is measured either as a whole (plain SHA3-256 over the file
 bytes, for data that is loaded into protected memory up front) or as a
 multiset hash folded record-by-record at the moment each record is
 sampled from the file (for data that stays outside and is pulled in
-lazily, "mapped" mode). A mapped record is read with os.pread on the file
-descriptor the handle holds, so a file that shrinks underneath the handle
-gives a short read and a FormatError, never a fault in the process. The
-mapped path enforces an exactly-once epoch: every record index must be
-sampled precisely one time before the digest can be finalized, so a
-swapped or re-served record after measurement cannot go unnoticed and a
-withheld record blocks finalization.
+lazily, "mapped" mode). A mapped handle owns its epoch: it folds every
+record it serves into its own accumulator, hashed by the MshPool it was
+opened with (if any), so the bytes served are the bytes measured. A
+mapped record is read with os.pread on the file descriptor the handle
+holds, so a file that shrinks underneath the handle gives a short read
+and a FormatError, never a fault in the process. The mapped path
+enforces an exactly-once epoch: every record index must be sampled
+precisely one time before finish_epoch gives the digest, so a swapped or
+re-served record after measurement cannot go unnoticed and a withheld
+record blocks finalization.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ import hashlib
 import os
 import struct
 import threading
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .encoding import u32, u64
 from .errors import (
@@ -36,7 +38,7 @@ from .errors import (
     IndexOutOfRange,
     ParamsMismatch,
 )
-from .msh import MshAccumulator, MshDigest
+from .msh import MshAccumulator, MshDigest, MshPool
 
 MAGIC = b"PALMDS1\x00"
 HEADER_LEN = len(MAGIC) + 8
@@ -45,23 +47,6 @@ _U32 = struct.Struct("<I")
 # Bytes one read takes while a mapped handle indexes the length prefixes
 # (at least HEADER_LEN).
 SCAN_CHUNK = 64 * 1024
-
-
-@dataclass(frozen=True)
-class DatasetHash:
-    """Measurement of a dataset: either one plain digest or a multiset digest."""
-
-    kind: str  # "plain" | "multiset"
-    plain: Optional[bytes] = None
-    multiset: Optional[MshDigest] = None
-
-    def encode(self) -> bytes:
-        if self.kind == "plain":
-            return self.plain
-        return self.multiset.encode()
-
-    def hex(self) -> str:
-        return self.encode().hex()
 
 
 def pack_records(records: Sequence[bytes]) -> bytes:
@@ -124,17 +109,12 @@ def record_spans(read_at: Callable[[int], bytes], size: int) -> Iterator[tuple[i
 class InMemoryDataset:
     """Dataset loaded whole; measured by one plain hash over the file bytes."""
 
-    mode = "inmem"
-
     def __init__(self, records: tuple[bytes, ...], file_bytes: bytes):
         self.records = records
         self.file_bytes_hash = hashlib.sha3_256(file_bytes).digest()
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def dataset_hash(self) -> DatasetHash:
-        return DatasetHash(kind="plain", plain=self.file_bytes_hash)
 
 
 def load_in_memory(path: str | os.PathLike) -> InMemoryDataset:
@@ -148,14 +128,13 @@ class MappedDataset:
 
     Opening scans only the length prefixes, in SCAN_CHUNK reads, to build an
     offset index; record bytes are first read (and first measured) when
-    sample_record pulls them with os.pread. The access bitmap admits each
-    index exactly once per epoch. The handle owns its file: close it, or
-    use it as a context manager.
+    sample_record pulls them with os.pread and folds them into the handle's
+    accumulator, hashed by `pool`'s workers when one is given. The access
+    bitmap admits each index exactly once per epoch. The handle owns its
+    file: close it, or use it as a context manager.
     """
 
-    mode = "mapped"
-
-    def __init__(self, path: str | os.PathLike):
+    def __init__(self, path: str | os.PathLike, pool: Optional[MshPool] = None):
         self.path = os.fspath(path)
         self._file = open(self.path, "rb", buffering=0)
         self._fd = self._file.fileno()
@@ -169,7 +148,8 @@ class MappedDataset:
             raise
         self._seen = bytearray((len(self._spans) + 7) // 8)
         self._lock = threading.Lock()
-        self.accumulator = MshAccumulator()
+        self.pool = pool
+        self.accumulator = MshAccumulator(pool=pool)
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -181,8 +161,8 @@ class MappedDataset:
                 raise DuplicateAccess(f"record {index} already sampled this epoch")
             self._seen[byte] |= 1 << bit
 
-    def sample_record(self, index: int, into: Optional[MshAccumulator] = None) -> bytes:
-        """Read record bytes from the file and fold them into an accumulator.
+    def sample_record(self, index: int) -> bytes:
+        """Read record bytes from the file and fold them into the accumulator.
 
         The fold happens on the bytes actually returned to the caller, at the
         time of the call; whatever the pipeline consumes is what got measured.
@@ -197,7 +177,7 @@ class MappedDataset:
             raise FormatError(
                 f"record {index} truncated on disk: read {len(record)} of {length} bytes"
             )
-        (into if into is not None else self.accumulator).insert(record)
+        self.accumulator.insert(record)
         return record
 
     def missing_indices(self) -> list[int]:
@@ -221,10 +201,8 @@ class MappedDataset:
         self.close()
 
 
-def finish_epoch(
-    ds: MappedDataset, partials: Iterable[MshAccumulator] = ()
-) -> DatasetHash:
-    """Finalize a mapped epoch, merging any per-worker partial accumulators.
+def finish_epoch(ds: MappedDataset) -> MshDigest:
+    """The multiset digest of a finished mapped epoch.
 
     Raises IncompleteEpoch unless every record index was sampled exactly once
     (duplicates were already rejected at sample time).
@@ -232,16 +210,12 @@ def finish_epoch(
     missing = ds.missing_indices()
     if missing:
         raise IncompleteEpoch(missing)
-    total = ds.accumulator
-    for partial in partials:
-        total = total.merge(partial)
-    if total.count != len(ds):
-        # Bitmap says complete but the fold count disagrees: a partial was
-        # double-merged or fed records from elsewhere.
-        raise ParamsMismatch(
-            f"accumulated {total.count} records for a {len(ds)}-record epoch"
-        )
-    return DatasetHash(kind="multiset", multiset=total.finalize())
+    count = ds.accumulator.count
+    if count != len(ds):
+        # Bitmap says complete but the fold count disagrees: the accumulator
+        # was fed records from elsewhere.
+        raise ParamsMismatch(f"accumulated {count} records for a {len(ds)}-record epoch")
+    return ds.accumulator.finalize()
 
 
 def tamper_record(path: str | os.PathLike, index: int, new_bytes: bytes) -> None:

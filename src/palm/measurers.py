@@ -14,9 +14,10 @@ labels.
 Every operation on a dataset handle makes one pass over it (_one_pass), so
 a mapped dataset streams into the operation in one exactly-once epoch and
 no copy of it is built; Training's epochs scale the counts of that pass.
-Measurers that take a dataset also take an optional MshPool. A mapped epoch
-is then hashed by the pool's workers: every record is still sampled, claimed
-and consumed here, once, and the bytes consumed are the bytes hashed.
+A mapped handle opened with an MshPool has its epoch hashed by the pool's
+workers, and so has the Dpre a mapped Preprocessing produces: every record
+is still sampled, claimed and consumed here, once, and the bytes consumed
+are the bytes hashed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from .dataset import (
-    DatasetHash,
     InMemoryDataset,
     MappedDataset,
     finish_epoch,
@@ -36,7 +36,7 @@ from .dataset import (
 )
 from .encoding import lp, sha3_256, u32
 from .errors import FormatError, PalmError
-from .msh import MshAccumulator, MshDigest, MshPool, msh_of_records
+from .msh import MshAccumulator, MshDigest, msh_of_records
 from .toyops import (
     History,
     ToyModel,
@@ -193,31 +193,23 @@ class Measured:
         return self.payloads()
 
 
-def _dataset_entry(role: str, dh: DatasetHash) -> LabeledMeasurement:
-    if dh.kind == "plain":
-        return LabeledMeasurement(f"h({role})", dh.plain)
-    return LabeledMeasurement(f"MSH({role})", dh.multiset.encode())
-
-
 def _one_pass(
-    ds: Dataset, op: Callable[[Iterable[bytes]], T], pool: Optional[MshPool] = None
-) -> tuple[T, DatasetHash]:
-    """Run an operation over one pass of a dataset and measure the dataset.
+    ds: Dataset, role: str, op: Callable[[Iterable[bytes]], T]
+) -> tuple[T, LabeledMeasurement]:
+    """Run an operation over one pass of a dataset and measure the dataset
+    in the `role` it plays for the operation.
 
     Every operation on a dataset handle runs through here. In-memory handles
-    hand over the records hashed whole at load. Mapped handles are streamed:
-    the operation consumes each record as sample_record returns it, one call
-    per index in index order, no record list is built, and the epoch is
-    finished after the pass, so a record withheld, served twice, or left
-    unconsumed by the operation fails the run. The records are folded into
-    an accumulator (hashed by the pool's workers when there is a pool) that
-    finish_epoch merges as a partial, under the same bitmap and count checks.
+    hand over the records hashed whole at load: h(role). Mapped handles are
+    streamed: the operation consumes each record as sample_record returns
+    it, one call per index in index order, no record list is built, and the
+    epoch is finished after the pass, so a record withheld, served twice, or
+    left unconsumed by the operation fails the run: MSH(role).
     """
     if isinstance(ds, InMemoryDataset):
-        return op(ds.records), ds.dataset_hash()
-    acc = MshAccumulator(pool=pool)
-    result = op(ds.sample_record(index, acc) for index in range(len(ds)))
-    return result, finish_epoch(ds, [acc])
+        return op(ds.records), LabeledMeasurement(f"h({role})", ds.file_bytes_hash)
+    result = op(ds.sample_record(index) for index in range(len(ds)))
+    return result, LabeledMeasurement(f"MSH({role})", finish_epoch(ds).encode())
 
 
 def _kept(into: list, items: Iterable[T]) -> Iterator[T]:
@@ -238,10 +230,7 @@ def _not_kept() -> dict[str, bytes]:
 
 
 def measure_preprocessing(
-    ds: Dataset,
-    gpu: Optional[GpuToken] = None,
-    pool: Optional[MshPool] = None,
-    keep_output: bool = True,
+    ds: Dataset, gpu: Optional[GpuToken] = None, keep_output: bool = True
 ) -> Measured:
     """Dpre is measured the way its input is held: h over its packed form in
     memory, or MSH folded as each preprocessed record is produced when the
@@ -251,9 +240,8 @@ def measure_preprocessing(
     returned) Dpre is measured but not kept: the result is None and reading
     the outputs raises, so a mapped run holds no dataset-sized state."""
     if isinstance(ds, InMemoryDataset):
-        d_pre = preproc(ds.records)
+        d_pre, d_entry = _one_pass(ds, "D", preproc)
         packed = pack_records(d_pre)
-        dh = ds.dataset_hash()
         out_entry = LabeledMeasurement("h(Dpre)", sha3_256(packed))
     else:
         produced: list[bytes] = []
@@ -262,15 +250,15 @@ def measure_preprocessing(
             d_pre_stream = map(preproc_record, records)
             if keep_output:
                 d_pre_stream = _kept(produced, d_pre_stream)
-            return msh_of_records(d_pre_stream, pool=pool)
+            return msh_of_records(d_pre_stream, pool=ds.pool)
 
-        d_pre_msh, dh = _one_pass(ds, fold, pool)
+        d_pre_msh, d_entry = _one_pass(ds, "D", fold)
         d_pre = tuple(produced)
         out_entry = LabeledMeasurement("MSH(Dpre)", d_pre_msh.encode())
         packed = None  # packed only if the payload is read
     mset = MeasurementSet(
         OperationId("Preprocessing"),
-        _with_gpu([_dataset_entry("D", dh)], gpu),
+        _with_gpu([d_entry], gpu),
         (out_entry,),
     )
     if not keep_output:
@@ -278,14 +266,12 @@ def measure_preprocessing(
     return Measured(d_pre, mset, lambda: {out_entry.label: packed or pack_records(d_pre)})
 
 
-def measure_attribute_distribution(
-    ds: Dataset, gpu: Optional[GpuToken] = None, pool: Optional[MshPool] = None
-) -> Measured:
-    hist, dh = _one_pass(ds, attribute_distribution, pool)
+def measure_attribute_distribution(ds: Dataset, gpu: Optional[GpuToken] = None) -> Measured:
+    hist, d_entry = _one_pass(ds, "D", attribute_distribution)
     ser = serialize_distribution(hist)
     mset = MeasurementSet(
         OperationId("AttributeDistribution"),
-        _with_gpu([_dataset_entry("D", dh)], gpu),
+        _with_gpu([d_entry], gpu),
         (LabeledMeasurement("h(Adist)", sha3_256(ser)),),
     )
     return Measured(hist, mset, lambda: {"h(Adist)": ser})
@@ -320,16 +306,17 @@ def measure_training(
     config: TrainConfig,
     tokenizer: ToyTokenizer,
     gpu: Optional[GpuToken] = None,
-    pool: Optional[MshPool] = None,
 ) -> Measured:
-    model, dh = _one_pass(ds_tr, lambda records: train(arch, records, config, tokenizer), pool)
+    model, d_entry = _one_pass(
+        ds_tr, "Dtr", lambda records: train(arch, records, config, tokenizer)
+    )
     model_bytes = model.serialized_bytes()
     mset = MeasurementSet(
         OperationId("Training"),
         _with_gpu(
             [
                 LabeledMeasurement("h(Mar)", sha3_256(ToyModel.empty(arch).serialized_bytes())),
-                _dataset_entry("Dtr", dh),
+                d_entry,
                 LabeledMeasurement("h(T)", sha3_256(config.serialized_bytes())),
                 LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
             ],
@@ -348,14 +335,13 @@ def measure_optimization(
     adp: Optional[ToyModel] = None,
     ds_opt: Optional[Dataset] = None,
     gpu: Optional[GpuToken] = None,
-    pool: Optional[MshPool] = None,
 ) -> Measured:
-    opt_dh = None
+    opt_entry = None
     if ds_opt is None:
         optimized = optimize(model, tokenizer, config, id_opt, adp)
     else:
-        optimized, opt_dh = _one_pass(
-            ds_opt, lambda d_opt: optimize(model, tokenizer, config, id_opt, adp, d_opt), pool
+        optimized, opt_entry = _one_pass(
+            ds_opt, "Dopt", lambda d_opt: optimize(model, tokenizer, config, id_opt, adp, d_opt)
         )
     optimized_bytes = optimized.serialized_bytes()
     h_i = [
@@ -366,8 +352,8 @@ def measure_optimization(
     ]
     if adp is not None:
         h_i.append(LabeledMeasurement("h(Madp)", sha3_256(adp.serialized_bytes())))
-    if opt_dh is not None:
-        h_i.append(_dataset_entry("Dopt", opt_dh))
+    if opt_entry is not None:
+        h_i.append(opt_entry)
     mset = MeasurementSet(
         OperationId("WeightOptimization", id_opt),
         _with_gpu(h_i, gpu),
@@ -381,9 +367,8 @@ def measure_evaluation(
     tokenizer: ToyTokenizer,
     ds_te: Dataset,
     gpu: Optional[GpuToken] = None,
-    pool: Optional[MshPool] = None,
 ) -> Measured:
-    metric, dh = _one_pass(ds_te, lambda records: evaluate(model, tokenizer, records), pool)
+    metric, d_entry = _one_pass(ds_te, "Dte", lambda records: evaluate(model, tokenizer, records))
     metric_bytes = metric.encode("ascii")
     mset = MeasurementSet(
         OperationId("Evaluation"),
@@ -391,7 +376,7 @@ def measure_evaluation(
             [
                 LabeledMeasurement("h(M)", sha3_256(model.serialized_bytes())),
                 LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
-                _dataset_entry("Dte", dh),
+                d_entry,
             ],
             gpu,
         ),

@@ -66,23 +66,28 @@ _BATCH_HEAD = struct.Struct("<II")
 
 @dataclass(frozen=True)
 class MshParams:
-    """Parameter set: element bit-length m with l = n_log2 = sqrt(m)."""
+    """Parameter set named by its element bit-length m: l = n_log2 = sqrt(m)
+    limbs of sqrt(m) bits each, labelled "mu<m>"."""
 
     m: int = 4096
-    l: int = 64
-    n_log2: int = 64
-    param_id: str = "mu4096"
 
     def __post_init__(self):
-        root = math.isqrt(self.m)
-        if root * root != self.m:
+        if self.l * self.l != self.m:
             raise ValueError(f"m={self.m} is not a perfect square")
-        if self.l != root or self.n_log2 != root:
-            raise ValueError(
-                f"require l = n_log2 = sqrt(m); got l={self.l}, n_log2={self.n_log2}, sqrt(m)={root}"
-            )
         if self.n_log2 not in _DTYPES:
             raise ValueError(f"unsupported limb width {self.n_log2} (need one of {sorted(_DTYPES)})")
+
+    @property
+    def l(self) -> int:
+        return math.isqrt(self.m)
+
+    @property
+    def n_log2(self) -> int:
+        return self.l
+
+    @property
+    def param_id(self) -> str:
+        return f"mu{self.m}"
 
     @property
     def dtype(self) -> np.dtype:
@@ -239,8 +244,7 @@ def msh_of_records(
 def _hash_batch(request: bytes) -> bytes:
     """Worker side: the l summed limbs of one request's records."""
     m, count = _BATCH_HEAD.unpack_from(request)
-    root = math.isqrt(m)
-    params = MshParams(m, root, root)
+    params = MshParams(m)
     lengths = struct.unpack_from(f"<{count}I", request, _BATCH_HEAD.size)
     ends = list(accumulate(lengths, initial=_BATCH_HEAD.size + 4 * count))
     if ends[-1] != len(request):

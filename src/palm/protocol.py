@@ -161,7 +161,7 @@ class _Run:
             return None
         if self.request.mode == "inmem":
             return load_in_memory(path)
-        return self.handles.enter_context(self.ctx.mapped_opener(path))
+        return self.handles.enter_context(self.ctx.mapped_opener(path, self.ctx.msh_pool))
 
 
 @dataclass(frozen=True)
@@ -179,20 +179,20 @@ class OpSpec:
 
 OPS = {spec.name: spec for spec in (
     OpSpec("Preprocessing", ("dataset",), lambda r: measure_preprocessing(
-        r.open(r["dataset"]), r.gpu, r.ctx.msh_pool, keep_output=not r.request.confidential)),
+        r.open(r["dataset"]), r.gpu, keep_output=not r.request.confidential)),
     OpSpec("AttributeDistribution", ("dataset",), lambda r: measure_attribute_distribution(
-        r.open(r["dataset"]), r.gpu, r.ctx.msh_pool)),
+        r.open(r["dataset"]), r.gpu)),
     OpSpec("MeasurementBinding", ("dataset",), lambda r: measure_binding(r["dataset"])),
     OpSpec("Training", ("arch", "dataset", "train_config", "tokenizer"),
            lambda r: measure_training(r["arch"], r.open(r["dataset"]), r["train_config"],
-                                      r["tokenizer"], r.gpu, r.ctx.msh_pool)),
+                                      r["tokenizer"], r.gpu)),
     OpSpec("WeightOptimization", ("model", "tokenizer", "train_config", "id_opt"),
            lambda r: measure_optimization(r["model"], r["tokenizer"], r["train_config"],
                                           r["id_opt"], r["adapter"], r.open(r["opt_dataset"]),
-                                          r.gpu, r.ctx.msh_pool),
+                                          r.gpu),
            optional=("adapter", "opt_dataset")),
     OpSpec("Evaluation", ("model", "tokenizer", "dataset"), lambda r: measure_evaluation(
-        r["model"], r["tokenizer"], r.open(r["dataset"]), r.gpu, r.ctx.msh_pool)),
+        r["model"], r["tokenizer"], r.open(r["dataset"]), r.gpu)),
     OpSpec("SingleInference", ("model", "tokenizer", "query"), lambda r: measure_inference(
         r["model"], r["tokenizer"], r["query"], r.gpu), nonce_only=True),
     OpSpec("SessionInference", ("model", "tokenizer", "query", "history"),
@@ -291,9 +291,10 @@ def build_request(
 class TdContext:
     """Everything the simulated trust domain holds: its measured identity,
     platform keys, a staging directory for untrusted inputs, and optionally
-    an attesting accelerator. mapped_opener exists so harnesses can hand the
-    measurers a fault-injecting dataset handle. msh_pool, when set, hashes
-    every mapped epoch in worker processes; its owner (a serving
+    an attesting accelerator. mapped_opener(path, pool) opens a mapped
+    dataset; it exists so harnesses can hand the measurers a fault-injecting
+    handle. msh_pool, when set, is given to every mapped handle opened, so
+    its epoch is hashed in worker processes; the pool's owner (a serving
     AttestationServer) stops it. Without one, everything runs in this
     process."""
 
@@ -305,7 +306,7 @@ class TdContext:
     staging_dir: str
     gpu_state: Optional[bytes] = None
     gpu_key: Optional[Ed25519PrivateKey] = None
-    mapped_opener: Callable[[str], MappedDataset] = MappedDataset
+    mapped_opener: Callable[[str, Optional[MshPool]], MappedDataset] = MappedDataset
     report_hook: Callable = staticmethod(lambda report: report)
     msh_pool: Optional[MshPool] = None
 

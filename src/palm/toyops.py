@@ -89,7 +89,8 @@ class ToyTokenizer:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ToyTokenizer":
-        return cls({str(k): int(v) for k, v in doc["vocab"].items()})
+        vocab = doc["vocab"]
+        return cls(dict(zip(map(str, vocab), _json_ints(vocab.values(), "token id"))))
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,8 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainConfig":
-        return cls(int(doc["seed"]), int(doc["epochs"]), str(doc["sampling"]))
+        seed, epochs = _json_ints((doc["seed"], doc["epochs"]), "seed or epochs")
+        return cls(seed, epochs, str(doc["sampling"]))
 
 
 class ToyModel:
@@ -254,7 +256,7 @@ class ToyModel:
             [int(ctx) for ctx in counts],
             [len(entries) for entries in counts.values()],
             map(int, chain.from_iterable(counts.values())),
-            map(int, chain.from_iterable(map(dict.values, counts.values()))),
+            _json_ints(chain.from_iterable(map(dict.values, counts.values())), "count"),
         )
         if model._sorted():
             return model
@@ -279,6 +281,17 @@ class ToyModel:
         bounds = self.starts[1:-1]
         rising[bounds[(bounds > 0) & (bounds < len(self.tokens))] - 1] = True
         return bool(np.all(self.contexts[1:] > self.contexts[:-1]) and np.all(rising))
+
+
+def _json_ints(values: Iterable, what: str) -> list:
+    """Decoded JSON numbers that must be integers, as a list. Only an exact
+    int passes: a float or a bool is refused with a ValueError, never
+    truncated to the int it would round to."""
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"{what} {bad!r} is not an integer")
+    return values
 
 
 def _check_kind(kind: str) -> None:

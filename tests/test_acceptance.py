@@ -5,9 +5,12 @@ and mutation sensitivity at scale, merge homomorphism, frozen golden
 vectors cross-checked by a standalone oracle script, the full adversary
 sweep, verified coverage of all eight operations over both dataset modes
 and both transports, binding-gated reference translation, challenge
-freshness, qualitative cost ordering, and bit-for-bit determinism.
+freshness, qualitative cost ordering, and bit-for-bit determinism. Tests
+4 and 9 also pin the sweep's JSON report and the pipeline's responses to
+frozen SHA-256 digests, so a change that alters any byte of them fails.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -19,6 +22,7 @@ from functools import reduce
 
 import pytest
 
+from palm import cli
 from palm.adversary import SCENARIOS, adversary_run, build_clean_fixture, clean_run
 from palm.attestation import (
     H_MODULE,
@@ -69,6 +73,16 @@ GOLDEN = {
         "d04104fad89e74cc17a52d8a2d93732d7b8adf26111aee67479085adf5b8089f"
         "628be5e50ce9c165c7c3ab370a7dda66027a5ed77ebd1f5857d936114feeb91f"
     ),
+}
+
+# SHA-256 of whole outputs, frozen from a run of the code they pin.
+FROZEN_SHA256 = {
+    # stdout of `palm --json adversary all`
+    "adversary_all_json": "138b4f42f2f42b8d2f0c89a4ce21022b3a76e838b8bca5dbad0980770882bf6c",
+    # canonical_bytes() of every build_env response, in request order
+    "pipeline_responses": "744210adc77b403ec9f9cbf731448e7b7413c7ecad976f362101ccc462ef71a1",
+    # the same for the dataset operations in mapped mode (remapped)
+    "pipeline_responses_mapped": "a1b900f3a987b603f2961b6a7e272957374dc40f1ca21b52528a723992def69c",
 }
 
 
@@ -327,6 +341,12 @@ def test_4_adversary_sweep(tmp_path):
     assert time.monotonic() - started < 30
 
 
+def test_4_adversary_report_is_frozen(capsys):
+    assert cli.main(["--json", "adversary", "all"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_SHA256["adversary_all_json"]
+
+
 # --------------------------------------------------------------------------
 # 5. All eight operations verify, both modes, both transports
 
@@ -464,3 +484,14 @@ def test_9_pipeline_determinism(tmp_path):
         blob_b = prover_handle(env_b.requests[op], env_b.ctx).canonical_bytes()
         assert blob_a == blob_b, f"{op} responses diverge across identical runs"
         assert env_a.requests[op].to_json() == env_b.requests[op].to_json()
+
+
+def test_9_responses_are_frozen(tmp_path):
+    env = build_env(str(tmp_path))
+    inmem, mapped = hashlib.sha256(), hashlib.sha256()
+    for op, req in env.requests.items():
+        inmem.update(prover_handle(req, env.ctx).canonical_bytes())
+        if op in env.dataset_names:
+            mapped.update(prover_handle(remapped(req, op), env.ctx).canonical_bytes())
+    assert inmem.hexdigest() == FROZEN_SHA256["pipeline_responses"]
+    assert mapped.hexdigest() == FROZEN_SHA256["pipeline_responses_mapped"]

@@ -22,7 +22,7 @@ from palm.errors import (
     IncompleteEpoch,
     IndexOutOfRange,
 )
-from palm.msh import MshAccumulator, msh_of_records
+from palm.msh import msh_of_records
 
 from reference import oracle_encode, oracle_msh
 
@@ -59,11 +59,7 @@ class TestInMemory:
         write_dataset(path, corpus)
         ds = load_in_memory(path)
         assert ds.records == tuple(corpus)
-        assert ds.mode == "inmem"
         assert ds.file_bytes_hash == hashlib.sha3_256(path.read_bytes()).digest()
-        dh = ds.dataset_hash()
-        assert dh.kind == "plain"
-        assert dh.encode() == ds.file_bytes_hash
 
 
 class TestMappedEpoch:
@@ -72,10 +68,9 @@ class TestMappedEpoch:
             assert len(ds) == len(corpus)
             for i in range(len(ds)):
                 assert ds.sample_record(i) == corpus[i]
-            dh = finish_epoch(ds)
+            digest = finish_epoch(ds)
         limbs, count = oracle_msh(corpus)
-        assert dh.kind == "multiset"
-        assert dh.encode() == oracle_encode(limbs, count)
+        assert digest.encode() == oracle_encode(limbs, count)
 
     def test_sampling_order_is_irrelevant(self, dataset_path, corpus, rng):
         order = list(range(len(corpus)))
@@ -83,8 +78,8 @@ class TestMappedEpoch:
         with MappedDataset(dataset_path) as ds:
             for i in order:
                 ds.sample_record(i)
-            dh = finish_epoch(ds)
-        assert dh.multiset == msh_of_records(corpus)
+            digest = finish_epoch(ds)
+        assert digest == msh_of_records(corpus)
 
     def test_duplicate_access_rejected(self, dataset_path):
         with MappedDataset(dataset_path) as ds:
@@ -106,14 +101,6 @@ class TestMappedEpoch:
                 finish_epoch(ds)
         assert exc.value.missing_indices == [2, 5]
 
-    def test_worker_partials_merge(self, dataset_path, corpus):
-        with MappedDataset(dataset_path) as ds:
-            workers = [MshAccumulator() for _ in range(3)]
-            for i in range(len(ds)):
-                ds.sample_record(i, into=workers[i % 3])
-            dh = finish_epoch(ds, partials=workers)
-        assert dh.multiset == msh_of_records(corpus)
-
     def test_concurrent_claims_are_exclusive(self, dataset_path):
         with MappedDataset(dataset_path) as ds:
             losses = []
@@ -122,7 +109,7 @@ class TestMappedEpoch:
             def worker():
                 barrier.wait()
                 try:
-                    ds.sample_record(7, into=MshAccumulator())
+                    ds.sample_record(7)
                 except DuplicateAccess:
                     losses.append(1)
 
@@ -162,10 +149,10 @@ class TestTamper:
             assert seen == b"Y" * len(corpus[1])
             for i in range(2, len(ds)):
                 ds.sample_record(i)
-            dh = finish_epoch(ds)
-        assert dh.multiset != clean
+            digest = finish_epoch(ds)
+        assert digest != clean
         expected = [corpus[0], b"Y" * len(corpus[1]), *corpus[2:]]
-        assert dh.multiset == msh_of_records(expected)
+        assert digest == msh_of_records(expected)
 
     def test_tamper_out_of_range(self, tmp_path, corpus):
         path = tmp_path / "d.palmds"
@@ -187,7 +174,7 @@ class TestReadsWithPread:
         with mock.patch.object(dataset, "SCAN_CHUNK", dataset.HEADER_LEN):
             with MappedDataset(path) as ds:
                 got = [ds.sample_record(i) for i in range(len(ds))]
-                assert finish_epoch(ds).multiset == msh_of_records(corpus)
+                assert finish_epoch(ds) == msh_of_records(corpus)
             assert got == corpus
             path.write_bytes(pack_records(corpus)[:-3])
             with pytest.raises(FormatError, match="truncated record bytes"):

@@ -290,8 +290,8 @@ EVAL_RECORDS = [b"the\tquick", b"pack\tmy", b"how\tvexingly", b"sphinx\tof",
 class _ReServingDataset(MappedDataset):
     """Storage that answers a request for record 2 with record 1 again."""
 
-    def sample_record(self, index, into=None):
-        return super().sample_record(1 if index == 2 else index, into)
+    def sample_record(self, index):
+        return super().sample_record(1 if index == 2 else index)
 
 
 class _ShortDataset(MappedDataset):
@@ -310,8 +310,8 @@ def _tampered(length: int) -> bytes:
 class _TamperAfterFirstDataset(MappedDataset):
     """Rewrites the last record on disk right after the first sample."""
 
-    def sample_record(self, index, into=None):
-        record = super().sample_record(index, into)
+    def sample_record(self, index):
+        record = super().sample_record(index)
         if index == 0:
             last = len(self._spans) - 1
             tamper_record(self.path, last, _tampered(self._spans[last][1]))
@@ -430,46 +430,36 @@ class TestPayloadsOnDemand:
 
 
 # --------------------------------------------------------------------------
-# The same streamed epochs with their multiset hashes computed by a worker
-# pool: the parent still samples, claims and consumes every record once.
-
-POOLED_OPS = {
-    "Preprocessing": lambda m, t, ds, pool: measure_preprocessing(ds, pool=pool),
-    "AttributeDistribution": lambda m, t, ds, pool: measure_attribute_distribution(ds, pool=pool),
-    "Evaluation": lambda m, t, ds, pool: measure_evaluation(m, t, ds, pool=pool),
-    "Training": lambda m, t, ds, pool: measure_training("bigram", ds, STREAM_CONFIG, t,
-                                                        pool=pool),
-    "finetune": lambda m, t, ds, pool: measure_optimization(m, t, STREAM_CONFIG, "finetune",
-                                                            ds_opt=ds, pool=pool),
-}
+# The same streamed epochs from handles opened with a worker pool, which
+# hashes them: the parent still samples, claims and consumes every record once.
 
 
-@pytest.mark.parametrize("op", sorted(POOLED_OPS))
+@pytest.mark.parametrize("op", sorted(STREAMED_OPS))
 class TestPooledEpochFailsClosed:
     def test_clean_stream_matches_in_process(self, op, eval_path, model, tokenizer, msh_pool):
         """Batches of two put several batch boundaries inside the epoch."""
         with MappedDataset(eval_path) as ds:
             in_process = STREAMED_OPS[op][0](model, tokenizer, ds)
-        with mock.patch.object(msh, "FLUSH_RECORDS", 2), MappedDataset(eval_path) as ds:
-            pooled = POOLED_OPS[op](model, tokenizer, ds, msh_pool)
+        with mock.patch.object(msh, "FLUSH_RECORDS", 2), MappedDataset(eval_path, msh_pool) as ds:
+            pooled = STREAMED_OPS[op][0](model, tokenizer, ds)
         assert pooled.mset == in_process.mset
         assert dataset_entry(pooled, STREAMED_OPS[op][1]).data == msh_of_records(
             EVAL_RECORDS).encode()
         assert pooled.outputs == in_process.outputs
 
     def test_record_served_twice(self, op, eval_path, model, tokenizer, msh_pool):
-        with _ReServingDataset(eval_path) as ds, pytest.raises(DuplicateAccess):
-            POOLED_OPS[op](model, tokenizer, ds, msh_pool)
+        with _ReServingDataset(eval_path, msh_pool) as ds, pytest.raises(DuplicateAccess):
+            STREAMED_OPS[op][0](model, tokenizer, ds)
 
     def test_record_withheld(self, op, eval_path, model, tokenizer, msh_pool):
-        with _ShortDataset(eval_path) as ds, pytest.raises(IncompleteEpoch) as exc:
-            POOLED_OPS[op](model, tokenizer, ds, msh_pool)
+        with _ShortDataset(eval_path, msh_pool) as ds, pytest.raises(IncompleteEpoch) as exc:
+            STREAMED_OPS[op][0](model, tokenizer, ds)
         assert exc.value.missing_indices == [len(EVAL_RECORDS) - 1]
 
     def test_tamper_mid_epoch_is_what_gets_measured(self, op, eval_path, model, tokenizer,
                                                     msh_pool):
-        with _TamperAfterFirstDataset(eval_path) as ds:
-            m = POOLED_OPS[op](model, tokenizer, ds, msh_pool)
+        with _TamperAfterFirstDataset(eval_path, msh_pool) as ds:
+            m = STREAMED_OPS[op][0](model, tokenizer, ds)
         seen = EVAL_RECORDS[:-1] + [_tampered(len(EVAL_RECORDS[-1]))]
         assert dataset_entry(m, STREAMED_OPS[op][1]).data == msh_of_records(seen).encode()
         assert list(m.outputs.values()) == [STREAMED_OPS[op][2](model, tokenizer, seen)]
@@ -479,8 +469,8 @@ class TestPooledMultiEpochOps:
     def test_training_matches_in_process(self, dataset_path, tokenizer, config, msh_pool):
         with MappedDataset(dataset_path) as ds:
             in_process = measure_training("bigram", ds, config, tokenizer)
-        with MappedDataset(dataset_path) as ds:
-            pooled = measure_training("bigram", ds, config, tokenizer, pool=msh_pool)
+        with MappedDataset(dataset_path, msh_pool) as ds:
+            pooled = measure_training("bigram", ds, config, tokenizer)
         assert pooled.mset == in_process.mset
 
     def test_finetune_matches_in_process(self, model, tokenizer, config, tmp_path, corpus,
@@ -489,19 +479,18 @@ class TestPooledMultiEpochOps:
         write_dataset(path, corpus[:7])
         with MappedDataset(path) as ds:
             in_process = measure_optimization(model, tokenizer, config, "finetune", ds_opt=ds)
-        with MappedDataset(path) as ds:
-            pooled = measure_optimization(model, tokenizer, config, "finetune", ds_opt=ds,
-                                          pool=msh_pool)
+        with MappedDataset(path, msh_pool) as ds:
+            pooled = measure_optimization(model, tokenizer, config, "finetune", ds_opt=ds)
         assert pooled.mset == in_process.mset
 
 
 class TestConfidentialPreprocessingKeepsNothing:
     @pytest.mark.parametrize("mapped", [False, True], ids=["inmem", "mapped"])
     def test_same_measurements_no_records(self, dataset_path, mapped, monkeypatch, msh_pool):
-        def measure(**kwargs):
+        def measure(pool=None, **kwargs):
             if not mapped:
                 return measure_preprocessing(load_in_memory(dataset_path), **kwargs)
-            with MappedDataset(dataset_path) as ds:
+            with MappedDataset(dataset_path, pool) as ds:
                 return measure_preprocessing(ds, **kwargs)
 
         shown = measure()

@@ -33,21 +33,19 @@ class TestParams:
 
     def test_m_must_be_square(self):
         with pytest.raises(ValueError):
-            MshParams(m=4095, l=64, n_log2=64, param_id="bad")
-
-    def test_l_must_match_root(self):
-        with pytest.raises(ValueError):
-            MshParams(m=4096, l=32, n_log2=64, param_id="bad")
+            MshParams(m=4095)
 
     def test_smaller_square_params_work(self):
-        params = MshParams(m=256, l=16, n_log2=16, param_id="mu256")
+        params = MshParams(m=256)
+        assert (params.l, params.n_log2, params.param_id) == (16, 16, "mu256")
         digest = msh_of_records([b"a", b"b"], params)
         assert len(digest.limbs) == 16
         assert all(v < 2**16 for v in digest.limbs)
+        assert digest.encode().startswith(b"mu256\x00")
 
     def test_odd_limb_width_rejected(self):
         with pytest.raises(ValueError):
-            MshParams(m=576, l=24, n_log2=24, param_id="bad")
+            MshParams(m=576)
 
 
 class TestHashRecord:
@@ -82,7 +80,7 @@ class TestAccumulator:
         assert list(twice.limbs) == [(2 * v) % MOD for v in oracle_limbs(b"a")]
 
     def test_merge_params_mismatch(self):
-        other = MshAccumulator(MshParams(m=256, l=16, n_log2=16, param_id="mu256"))
+        other = MshAccumulator(MshParams(m=256))
         with pytest.raises(ParamsMismatch):
             MshAccumulator().merge(other)
 
@@ -139,10 +137,10 @@ class TestProperties:
 
 
 LEGAL_PARAMS = [
-    MshParams(m=64, l=8, n_log2=8, param_id="mu64"),
-    MshParams(m=256, l=16, n_log2=16, param_id="mu256"),
-    MshParams(m=1024, l=32, n_log2=32, param_id="mu1024"),
-    MshParams(m=4096, l=64, n_log2=64, param_id="mu4096"),
+    MshParams(m=64),
+    MshParams(m=256),
+    MshParams(m=1024),
+    MshParams(m=4096),
 ]
 
 

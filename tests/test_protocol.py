@@ -1,5 +1,6 @@
 """Protocol pipeline: request schemas, verdict checks, binding, transport."""
 
+import json
 import os
 import signal
 import socket
@@ -502,6 +503,28 @@ class TestInputRanges:
         self._served(ctx, bad, r"^server error: SchemaError: bad train_config: unknown sampling")
         assert "prover failed on a request" not in caplog.text
 
+    def test_non_integer_count_in_a_raw_frame_is_an_error_frame(self, fixture, ctx, verifier):
+        """The frame is written by hand, so the count reaches the server as
+        the JSON number 2.7, which no client-side type could produce."""
+        good = TestNonLatin1Text()._inference(fixture, "raw-count", "snow")
+        frame = json.dumps({"type": MSG_REQUEST, "body": good.to_json()}).encode()
+        frame = frame.replace(b'{"1": 3}', b'{"1": 2.7}', 1)
+        assert b"2.7" in frame
+        server = serve_background(("127.0.0.1", 0), ctx)
+        try:
+            with socket.create_connection(server.endpoint, timeout=10) as sock:
+                sock.sendall(struct.pack("<I", len(frame)) + frame)
+                error = recv_frame(sock)
+                assert error["type"] == MSG_ERROR
+                assert error["error"].startswith("SchemaError: bad model: count 2.7 is not"), error
+                send_frame(sock, {"type": MSG_REQUEST, "body": good.to_json()})
+                message = recv_frame(sock)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert message["type"] == MSG_RESPONSE
+        assert verifier.verify(AttestationResponse.from_json(message["body"]), good).accepted
+
     @pytest.mark.parametrize("name, value", [
         ("train_config", {"seed": 1, "sampling": "shuffled"}),
         ("train_config", {"seed": float("inf"), "epochs": 1, "sampling": "shuffled"}),
@@ -511,6 +534,11 @@ class TestInputRanges:
         ("model", {"kind": "trigram", "counts": {}}),
         ("model", {"kind": "unigram", "counts": {"0": {"x": 1}}}),
         ("adapter", {"kind": "unigram"}),
+        # JSON numbers that are not integers are refused, never truncated
+        ("train_config", {"seed": 1.9, "epochs": 1, "sampling": "shuffled"}),
+        ("train_config", {"seed": 1, "epochs": True, "sampling": "shuffled"}),
+        ("tokenizer", {"vocab": {"<unk>": 0, "a": True}}),
+        ("model", {"kind": "unigram", "counts": {"0": {"1": 2.7}}}),
     ])
     def test_malformed_document_never_runs(self, fixture, ctx, monkeypatch, name, value):
         from palm import protocol
@@ -545,7 +573,7 @@ class TestStagingNames:
         os.mkdir(ctx.staging_dir)
         opened = []
         monkeypatch.setattr(protocol, "load_in_memory", lambda path: opened.append(path))
-        ctx.mapped_opener = lambda path: opened.append(path)
+        ctx.mapped_opener = lambda path, pool: opened.append(path)
         monkeypatch.setattr(protocol, "measure_binding", lambda path: opened.append(path))
         return opened
 
@@ -619,16 +647,15 @@ def _corpus(n: int) -> list[bytes]:
 
 
 class _StopThenKillWorkers(MappedDataset):
-    """Stops every pool worker before the first record, so no batch can be
-    answered, and kills them all once two batches are out."""
+    """Stops every worker of the pool it was opened with before the first
+    record, so no batch can be answered, and kills them all once two
+    batches are out."""
 
-    pool = None
-
-    def sample_record(self, index, into=None):
+    def sample_record(self, index):
         if index in (0, 300):
             for pid in self.pool.pids():
                 os.kill(pid, signal.SIGSTOP if index == 0 else signal.SIGKILL)
-        return super().sample_record(index, into)
+        return super().sample_record(index)
 
 
 class TestServerPool:
@@ -700,7 +727,6 @@ class TestServerPool:
         try:
             warm = self._preprocessing("before")
             assert verifier.verify(request_over_tcp(server.endpoint, warm, timeout=30), warm).accepted
-            _StopThenKillWorkers.pool = server.msh_pool
             server.td_context.mapped_opener = _StopThenKillWorkers
             with pytest.raises(PalmError, match=r"^server error: MshWorkerError: .*code -9"):
                 request_over_tcp(server.endpoint, self._preprocessing("killed"), timeout=30)
@@ -741,7 +767,7 @@ class TestPooledAdversary:
         assert verdict.accepted, verdict.reason
 
         last = len(fixture.records) - 1
-        ctx.mapped_opener = lambda path: _MidEpochTamperDataset(path, 4, last)
+        ctx.mapped_opener = lambda path, pool: _MidEpochTamperDataset(path, pool, 4, last)
         tampered = fixture.make_request("pooled-tamper")
         verdict = Verifier(fixture.refstore).verify(prover_handle(tampered, ctx), tampered)
         assert verdict.reason == "ReferenceMismatch"
