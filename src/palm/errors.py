@@ -6,7 +6,8 @@ class PalmError(Exception):
 
 
 class ParamsMismatch(PalmError):
-    """Two multiset-hash accumulators with different parameter sets were combined."""
+    """Multiset-hash accumulators that do not fit together: different parameter
+    sets, or record counts that disagree."""
 
 
 class MshWorkerError(PalmError):

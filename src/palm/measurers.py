@@ -15,9 +15,13 @@ Every operation on a dataset handle makes one pass over it (_one_pass), so
 a mapped dataset streams into the operation in one exactly-once epoch and
 no copy of it is built; Training's epochs scale the counts of that pass.
 A mapped handle opened with an MshPool has its epoch hashed by the pool's
-workers, and so has the Dpre a mapped Preprocessing produces: every record
-is still sampled, claimed and consumed here, once, and the bytes consumed
-are the bytes hashed.
+workers: every record is still sampled, claimed and consumed here, once,
+and the bytes consumed are the bytes hashed. A mapped Preprocessing
+measures Dpre through a companion of the handle's accumulator
+(MshAccumulator.companion), fed the records the operation consumes. Pooled,
+the workers preprocess and hash each shipped record in the same batch as
+its D hash, so this process never runs preproc_record unless the run keeps
+Dpre; in process, the companion does both itself.
 """
 
 from __future__ import annotations
@@ -212,10 +216,10 @@ def _one_pass(
     return result, LabeledMeasurement(f"MSH({role})", finish_epoch(ds).encode())
 
 
-def _kept(into: list, items: Iterable[T]) -> Iterator[T]:
-    """Pass items through unchanged, appending each to `into` on the way."""
+def _kept(into: list, items: Iterable[T], derive: Callable[[T], object]) -> Iterator[T]:
+    """Pass items through unchanged, appending derive(item) to `into` on the way."""
     for item in items:
-        into.append(item)
+        into.append(derive(item))
         yield item
 
 
@@ -233,24 +237,27 @@ def measure_preprocessing(
     ds: Dataset, gpu: Optional[GpuToken] = None, keep_output: bool = True
 ) -> Measured:
     """Dpre is measured the way its input is held: h over its packed form in
-    memory, or MSH folded as each preprocessed record is produced when the
-    input is mapped, in the same pass that samples and measures D.
+    memory, or, when the input is mapped, MSH folded over the preprocessed
+    form of each record in the same pass that samples and measures D, by
+    the companion of the handle's accumulator.
 
     Without keep_output (a confidential run, whose outputs are never
     returned) Dpre is measured but not kept: the result is None and reading
-    the outputs raises, so a mapped run holds no dataset-sized state."""
+    the outputs raises, so a mapped run holds no dataset-sized state. A run
+    that keeps Dpre preprocesses each consumed record here for the payload,
+    from the same bytes the companion measures."""
     if isinstance(ds, InMemoryDataset):
         d_pre, d_entry = _one_pass(ds, "D", preproc)
         packed = pack_records(d_pre)
         out_entry = LabeledMeasurement("h(Dpre)", sha3_256(packed))
     else:
         produced: list[bytes] = []
+        d_pre_acc = ds.accumulator.companion()
 
         def fold(records: Iterable[bytes]) -> MshDigest:
-            d_pre_stream = map(preproc_record, records)
             if keep_output:
-                d_pre_stream = _kept(produced, d_pre_stream)
-            return msh_of_records(d_pre_stream, pool=ds.pool)
+                records = _kept(produced, records, preproc_record)
+            return msh_of_records(records, into=d_pre_acc)
 
         d_pre_msh, d_entry = _one_pass(ds, "D", fold)
         d_pre = tuple(produced)

@@ -23,6 +23,16 @@ and answers with the batch's l limbs; the accumulator adds the answers up
 when its state is read. The caller still decides which bytes are measured
 and when; only the arithmetic over those bytes runs elsewhere, on every
 usable core, and the digest is byte-identical to the in-process one.
+
+An accumulator can also give a companion: the multiset hash of
+toyops.preproc_record over every record the accumulator takes from then
+on, which is MSH(Dpre) for a Preprocessing pass over a mapped D. Pooled,
+each batch goes to a worker once, flagged as fused in its header; the
+worker hashes the records and their preprocessed forms and answers 2*l
+limbs, the second l of which go to the companion. In process the
+companion preprocesses and hashes each record it is given itself. Either
+way the companion is fed the records the operation consumed, and reading
+it fails closed unless they are exactly as many as its source took.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ import numpy as np
 
 from .encoding import u64
 from .errors import MshWorkerError, ParamsMismatch
+from .toyops import preproc_record
 
 # Domain-separation prefix absorbed by the XOF before every record.
 HASH_DOMAIN = b"PALM-MSH-v1\x00"
@@ -59,9 +70,11 @@ IN_FLIGHT_PER_WORKER = 2
 # A worker that does not exit this long after being asked to is killed.
 STOP_TIMEOUT_S = 10.0
 
-# Request to a worker: u32 m, u32 record count, then one u32 length per
-# record, then the records back to back.
-_BATCH_HEAD = struct.Struct("<II")
+# Request to a worker: u32 m, u32 record count, u32 fused (0 or 1), then
+# one u32 length per record, then the records back to back. The reply is
+# the l summed limbs of the records, followed, when fused, by the l summed
+# limbs of their preproc_record outputs.
+_BATCH_HEAD = struct.Struct("<III")
 
 
 @dataclass(frozen=True)
@@ -150,7 +163,9 @@ class MshAccumulator:
     inserted. With a pool, inserted records are hashed by the pool's
     workers, batch by batch; reading the state waits for every batch."""
 
-    __slots__ = ("params", "_limbs", "_pending", "_xof_bytes", "_pool", "_shipped", "count")
+    __slots__ = (
+        "params", "_limbs", "_pending", "_xof_bytes", "_pool", "_shipped", "_companion", "count"
+    )
 
     def __init__(self, params: MshParams = DEFAULT_PARAMS, pool: Optional["MshPool"] = None):
         self.params = params
@@ -159,6 +174,7 @@ class MshAccumulator:
         self._xof_bytes = params.digest_bytes
         self._pool = pool
         self._shipped: deque[_Batch] = deque()
+        self._companion: Optional[_Preprocessed] = None  # fed by fused batches when pooled
         self.count = 0
 
     def insert(self, record: bytes) -> "MshAccumulator":
@@ -182,13 +198,17 @@ class MshAccumulator:
         if self._pool is None:
             self._limbs += _batch_sum(b"".join(self._pending), self.params)
         else:
-            self._shipped.append(self._pool.submit(self.params, self._pending))
+            fused = self._companion is not None
+            self._shipped.append(self._pool.submit(self.params, self._pending, fused))
             while self._shipped and self._shipped[0].done():
                 self._add(self._shipped.popleft())
         self._pending.clear()
 
     def _add(self, batch: "_Batch") -> None:
-        self._limbs += np.frombuffer(self._pool.result(batch), dtype=self.params.dtype)
+        sums = np.frombuffer(self._pool.result(batch), dtype=self.params.dtype)
+        self._limbs += sums[: self.params.l]
+        if len(sums) > self.params.l:  # a fused batch
+            self._companion._limbs += sums[self.params.l :]
 
     def _flush(self) -> None:
         """Bring the state up to date with every record inserted so far."""
@@ -227,14 +247,62 @@ class MshAccumulator:
         self._flush()
         return tuple(int(x) for x in self._limbs)
 
+    def companion(self) -> "MshAccumulator":
+        """An accumulator over preproc_record(r) for each record r this one
+        takes from now on; insert each such r into it once.
+
+        Pooled, the batches this accumulator ships from now on are fused, so
+        the companion's arithmetic rides on them and its insert only counts;
+        records inserted before now are shipped unfused first."""
+        if self._companion is not None:
+            raise ValueError("an accumulator has at most one companion")
+        self._ship()
+        self._companion = _Preprocessed(self)
+        return self._companion
+
+
+class _Preprocessed(MshAccumulator):
+    """The companion an accumulator gives: MSH over preproc_record of the
+    records its source takes after it was made.
+
+    In process it preprocesses and hashes each record it is given. Pooled,
+    the source's workers hash the preprocessed records and add their sums
+    here, and insert counts the records consumed. Reading the state flushes
+    the source first, then raises ParamsMismatch unless the companion was
+    given exactly as many records as its source took."""
+
+    __slots__ = ("_source", "_base")
+
+    def __init__(self, source: MshAccumulator):
+        super().__init__(source.params, source._pool)
+        self._source = source
+        self._base = source.count
+
+    def insert(self, record: bytes) -> "MshAccumulator":
+        if self._pool is None:
+            return super().insert(preproc_record(record))
+        self.count += 1
+        return self
+
+    def _flush(self) -> None:
+        self._source._flush()
+        super()._flush()
+        taken = self._source.count - self._base
+        if self.count != taken:
+            raise ParamsMismatch(f"{self.count} records preprocessed of the {taken} taken")
+
 
 def msh_of_records(
     records: Iterable[bytes],
     params: MshParams = DEFAULT_PARAMS,
     pool: Optional["MshPool"] = None,
+    into: Optional[MshAccumulator] = None,
 ) -> MshDigest:
-    """Digest a whole record stream in one pass (fold of insert)."""
-    return MshAccumulator(params, pool).insert_many(records).finalize()
+    """Digest a whole record stream in one pass (fold of insert), into a new
+    accumulator or, given `into`, into that one with its params and pool."""
+    if into is None:
+        into = MshAccumulator(params, pool)
+    return into.insert_many(records).finalize()
 
 
 # --------------------------------------------------------------------------
@@ -242,16 +310,21 @@ def msh_of_records(
 
 
 def _hash_batch(request: bytes) -> bytes:
-    """Worker side: the l summed limbs of one request's records."""
-    m, count = _BATCH_HEAD.unpack_from(request)
+    """Worker side: the l summed limbs of one request's records, then, for a
+    fused request, the l summed limbs of their preproc_record outputs."""
+    m, count, fused = _BATCH_HEAD.unpack_from(request)
     params = MshParams(m)
     lengths = struct.unpack_from(f"<{count}I", request, _BATCH_HEAD.size)
     ends = list(accumulate(lengths, initial=_BATCH_HEAD.size + 4 * count))
     if ends[-1] != len(request):
         raise ValueError(f"batch of {len(request)} bytes declares {ends[-1]}")
     n_bytes = params.digest_bytes
-    outputs = [_xof(request[start:end], n_bytes) for start, end in zip(ends, ends[1:])]
-    return _batch_sum(b"".join(outputs), params).tobytes()
+    records = [request[start:end] for start, end in zip(ends, ends[1:])]
+    streams = (records, map(preproc_record, records)) if fused else (records,)
+    return b"".join(
+        _batch_sum(b"".join([_xof(record, n_bytes) for record in stream]), params).tobytes()
+        for stream in streams
+    )
 
 
 def _serve(conn) -> None:
@@ -274,7 +347,7 @@ class _Batch:
 
     def __init__(self, worker: "_Worker", size: int):
         self.worker = worker
-        self.size = size
+        self.size = size  # reply bytes expected: l limbs, or 2*l for a fused batch
         self.reply: Optional[bytes] = None
         self.error: Optional[MshWorkerError] = None
 
@@ -329,10 +402,11 @@ class MshPool:
         with self._lock:
             return [w.process.pid for w in self._workers]
 
-    def submit(self, params: MshParams, records: list[bytes]) -> _Batch:
-        """Ship one batch of records; result() gives its summed limbs."""
+    def submit(self, params: MshParams, records: list[bytes], fused: bool = False) -> _Batch:
+        """Ship one batch of records; result() gives its summed limbs, and
+        for a fused batch then the summed limbs of the preprocessed records."""
         payload = b"".join(
-            [_BATCH_HEAD.pack(params.m, len(records)),
+            [_BATCH_HEAD.pack(params.m, len(records), fused),
              struct.pack(f"<{len(records)}I", *map(len, records)),
              *records]
         )
@@ -343,7 +417,7 @@ class MshPool:
                 batch = None
                 if len(worker.unanswered) < IN_FLIGHT_PER_WORKER:
                     self._turn += 1
-                    batch = _Batch(worker, params.digest_bytes)
+                    batch = _Batch(worker, params.digest_bytes * (1 + fused))
                     worker.unanswered.append(batch)
                     try:
                         worker.conn.send_bytes(payload)
@@ -356,7 +430,7 @@ class MshPool:
             self._read_one(worker)
 
     def result(self, batch: _Batch) -> bytes:
-        """The batch's l summed limbs, as bytes; raises MshWorkerError if lost."""
+        """The batch's summed limbs, as bytes; raises MshWorkerError if lost."""
         while not batch.done():
             self._read_one(batch.worker, batch)
         if batch.error is not None:

@@ -13,6 +13,7 @@ reserved for out-of-vocabulary tokens.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -246,33 +247,24 @@ class ToyModel:
     @classmethod
     def from_json(cls, doc: dict) -> "ToyModel":
         """Decode in document order, then sort unless already sorted. Frames
-        sort their keys as strings, so "10" arrives before "9". Ids named
-        twice ("1" and "01") go through the dict constructor: the later wins."""
+        sort their keys as strings, so "10" arrives before "9". Ids must be
+        canonical decimal keys, so no two keys name one id."""
         kind = str(doc["kind"])
         counts = doc["counts"]
         model = cls.__new__(cls)
         model._fill(
             kind,
-            [int(ctx) for ctx in counts],
+            _json_ids(counts, "context id"),
             [len(entries) for entries in counts.values()],
-            map(int, chain.from_iterable(counts.values())),
+            _json_ids(chain.from_iterable(counts.values()), "token id"),
             _json_ints(chain.from_iterable(map(dict.values, counts.values())), "count"),
         )
         if model._sorted():
             return model
         ctx, tokens, freqs = model._rows()
         order = np.argsort((ctx.astype(np.uint64) << 32) | tokens)
-        model = cls._from_rows(
+        return cls._from_rows(
             kind, ctx[order], tokens[order], freqs[order], np.sort(model.contexts)
-        )
-        if model._sorted():
-            return model
-        return cls(
-            kind,
-            {
-                int(ctx): {int(tid): int(n) for tid, n in entries.items()}
-                for ctx, entries in counts.items()
-            },
         )
 
     def _sorted(self) -> bool:
@@ -281,6 +273,36 @@ class ToyModel:
         bounds = self.starts[1:-1]
         rising[bounds[(bounds > 0) & (bounds < len(self.tokens))] - 1] = True
         return bool(np.all(self.contexts[1:] > self.contexts[:-1]) and np.all(rising))
+
+
+# A canonical decimal id key: 0, or up to ten digits with no leading zero.
+_ID_KEY = re.compile("0|[1-9][0-9]{0,9}")
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10**18
+
+
+def _json_ids(keys: Iterable[str], what: str) -> list:
+    """Ids named by JSON object keys, as a list of ints. Only a canonical
+    decimal key names an id: "01", "+1", " 1", "1_0", "" or a non-ASCII
+    digit is refused with a ValueError, never read as the id int() would
+    give it.
+
+    The keys are checked and parsed joined by commas, which takes less time
+    than an int() per key and less memory than a regular expression over
+    the joined text: the text must be ASCII digits between single commas,
+    and the decimal forms of the parsed ids must fill it exactly, which a
+    leading zero, or a key too long for an int64, would not."""
+    keys = list(keys)
+    text = ",".join(keys)
+    if (text.isascii() and text.replace(",", "").isdigit() and ",," not in text
+            and text[0] != "," and text[-1] != ","):
+        ids = np.fromstring(text, np.int64, sep=",")
+        digits = np.searchsorted(_POW10, ids, "right") + 1
+        if len(ids) == len(keys) and int(digits.sum()) + len(ids) - 1 == len(text):
+            return ids.tolist()
+    elif not keys:
+        return []
+    bad = next(key for key in keys if not _ID_KEY.fullmatch(key))
+    raise ValueError(f"{what} key {bad!r} is outside the canonical ids {_ID_KEY.pattern}")
 
 
 def _json_ints(values: Iterable, what: str) -> list:

@@ -52,6 +52,27 @@ def oracle_msh_params(records, limbs: int, limb_bits: int) -> list[int]:
     return acc
 
 
+# The bytes bytes.split() splits on: ASCII space, \t, \n, \r, \v and \f.
+WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def oracle_preproc(record: bytes) -> bytes:
+    """Preprocessing byte by byte: A-Z lowered, each whitespace run between
+    two other bytes written as one space, leading and trailing runs dropped,
+    the result cut at 256 bytes."""
+    out = bytearray()
+    gap = False
+    for byte in record:
+        if byte in WHITESPACE:
+            gap = bool(out)
+            continue
+        if gap:
+            out.append(0x20)
+            gap = False
+        out.append(byte + 32 if 65 <= byte <= 90 else byte)
+    return bytes(out[:256])
+
+
 # --------------------------------------------------------------------------
 # Dict-based toy model: the count-table operations as first written, one
 # nested dict update per token and one struct.pack per field. The columnar

@@ -4,8 +4,8 @@ perfbench/tracer.py replaces palm's functions where their callers look them
 up (a module global or a class attribute). A refactor that calls a layer
 by another route leaves its span empty and its per-layer metric at zero,
 with no error. This test installs the tracer in a child process, so the
-replacements stay there, runs three requests that between them cross every
-traced prover layer, and checks that each layer recorded a call.
+replacements stay there, runs requests that between them cross every traced
+prover layer, and checks that each layer recorded a call.
 """
 
 import json
@@ -46,6 +46,9 @@ with tempfile.TemporaryDirectory() as workdir, MshPool() as pool:
     requests = {
         "mapped-preprocessing": build_request(
             "Preprocessing", {"dataset": fixture.dataset_name}, chal("pre"), mode="mapped"),
+        "confidential-mapped-preprocessing": build_request(
+            "Preprocessing", {"dataset": fixture.dataset_name}, chal("conf-pre"), mode="mapped",
+            confidential=True),
         "inmem-training": build_request(
             "Training", {"arch": "bigram", "dataset": fixture.dataset_name,
                          "train_config": fixture.config.to_json(), "tokenizer": tokenizer},
@@ -66,9 +69,12 @@ json.dump(calls, sys.stdout)
 """
 
 COMMON = ("measurers.measure", "attestation.quote")
+MAPPED_PREPROCESSING = ("dataset.open", "dataset.sample", "dataset.finish_epoch",
+                        "msh.insert", "msh.of_records", *COMMON)
 EXPECTED = {
-    "mapped-preprocessing": ("dataset.open", "dataset.sample", "dataset.finish_epoch",
-                             "msh.insert", "msh.of_records", *COMMON),
+    "mapped-preprocessing": MAPPED_PREPROCESSING,
+    # the benchmark's own request: the same layers, with no output returned
+    "confidential-mapped-preprocessing": MAPPED_PREPROCESSING,
     "inmem-training": ("dataset.load", "toyops.train", *COMMON),
     "session-inference": ("toyops.infer", "toyops.model_decode", *COMMON),
 }

@@ -37,12 +37,13 @@ from palm.toyops import (
     evaluate,
     optimize,
     preproc,
+    preproc_record,
     serialize_distribution,
     serialize_history,
     train,
 )
 
-from reference import oracle_encode, oracle_msh
+from reference import oracle_encode, oracle_msh, oracle_preproc
 
 
 def labels(group):
@@ -504,3 +505,53 @@ class TestConfidentialPreprocessingKeepsNothing:
             with pytest.raises(PalmError, match="not kept"):
                 hidden.outputs
         assert kept == []
+
+
+# --------------------------------------------------------------------------
+# Mapped Preprocessing measures Dpre through the companion of the handle's
+# accumulator: pooled, the workers preprocess and hash each shipped record.
+
+# More than two batches, with empty records and records that preprocess to nothing.
+FUSED_RECORDS = [b"", b"  \t ", b"\n", b"Mixed  CASE\twords", b"x" * 300] + [
+    b" Record\t%d " % i for i in range(2 * msh.FLUSH_RECORDS + 2)
+]
+
+
+class TestFusedPreprocessing:
+    @pytest.fixture
+    def fused_path(self, tmp_path):
+        path = tmp_path / "fused.palmds"
+        write_dataset(path, FUSED_RECORDS)
+        return str(path)
+
+    def _measure(self, path, pool, **kwargs):
+        with MappedDataset(path, pool) as ds:
+            return measure_preprocessing(ds, **kwargs)
+
+    def test_pooled_payload_equals_in_process(self, fused_path, msh_pool):
+        in_process = self._measure(fused_path, None)
+        pooled = self._measure(fused_path, msh_pool)
+        assert pooled.mset == in_process.mset
+        assert pooled.result == in_process.result
+        assert pooled.outputs == in_process.outputs
+        expected = [oracle_preproc(r) for r in FUSED_RECORDS]
+        assert pooled.outputs == {"MSH(Dpre)": pack_records(expected)}
+        assert pooled.mset.h_o[0].data == oracle_encode(*oracle_msh(expected))
+
+    def test_confidential_pooled_run_never_preprocesses_here(self, fused_path, msh_pool,
+                                                            monkeypatch):
+        calls = []
+
+        def counted(record):
+            calls.append(1)
+            return preproc_record(record)
+
+        shown = self._measure(fused_path, None)
+        for module in (measurers, msh):
+            monkeypatch.setattr(module, "preproc_record", counted)
+        hidden = self._measure(fused_path, msh_pool, keep_output=False)
+        assert hidden.mset == shown.mset
+        assert calls == []
+        kept = self._measure(fused_path, msh_pool)  # the payload is preprocessed here
+        assert kept.outputs == shown.outputs
+        assert len(calls) == len(FUSED_RECORDS)

@@ -18,8 +18,16 @@ from palm.msh import (
     hash_record,
     msh_of_records,
 )
+from palm.toyops import preproc_record
 
-from reference import MOD, oracle_encode, oracle_limbs, oracle_msh, oracle_msh_params
+from reference import (
+    MOD,
+    oracle_encode,
+    oracle_limbs,
+    oracle_msh,
+    oracle_msh_params,
+    oracle_preproc,
+)
 
 records_strategy = st.lists(st.binary(min_size=0, max_size=64), max_size=40)
 
@@ -360,3 +368,146 @@ class TestPoolFaults:
         pool.close()
         assert pool.pids() == []
         assert not {p.pid for p in multiprocessing.active_children()} & set(pids)
+
+
+# --------------------------------------------------------------------------
+# The companion: MSH over preproc_record of the records its source takes,
+# hashed by the source's workers in the same fused batches when pooled.
+
+def _fused(records, pool, params=DEFAULT_PARAMS):
+    """(MSH(D), MSH(Dpre)) the way mapped Preprocessing takes them: each
+    record into the source, then into the source's companion."""
+    source = MshAccumulator(params, pool)
+    companion = source.companion()
+    for record in records:
+        source.insert(record)
+        companion.insert(record)
+    d_pre = companion.finalize()
+    return source.finalize(), d_pre
+
+
+# Empty records, records whose preprocessed form is empty, and one past the cap.
+EDGE_RECORDS = st.sampled_from([b"", b" ", b" \t\n\r\x0b\x0c", b"  Mixed\tCASE  ", b"Q" * 300])
+
+
+class TestFusedCompanion:
+    @given(
+        st.sampled_from(LEGAL_PARAMS),
+        st.sampled_from([0, 1, FLUSH_RECORDS - 1, FLUSH_RECORDS, FLUSH_RECORDS + 1,
+                         2 * FLUSH_RECORDS + 1]),
+        st.lists(st.binary(max_size=40) | EDGE_RECORDS, min_size=1, max_size=6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_pooled_equals_in_process_equals_oracle(self, msh_pool, params, n, palette):
+        records = [palette[i % len(palette)] for i in range(n)]
+        pooled = _fused(records, msh_pool, params)
+        assert pooled == _fused(records, None, params)
+        d, d_pre = pooled
+        assert list(d.limbs) == oracle_msh_params(records, params.l, params.n_log2)
+        assert list(d_pre.limbs) == oracle_msh_params(
+            [oracle_preproc(r) for r in records], params.l, params.n_log2)
+        assert d.count == d_pre.count == n
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
+    def test_covers_only_records_taken_after_it(self, msh_pool, pooled):
+        source = MshAccumulator(pool=msh_pool if pooled else None).insert(b"Before")
+        companion = source.companion()
+        source.insert(b"After  It")
+        companion.insert(b"After  It")
+        assert companion.finalize() == msh_of_records([b"after it"])
+        assert source.finalize() == msh_of_records([b"Before", b"After  It"])
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
+    def test_count_mismatch_fails_closed(self, msh_pool, pooled):
+        source = MshAccumulator(pool=msh_pool if pooled else None)
+        companion = source.companion()
+        source.insert_many([b"a", b"b"])
+        companion.insert(b"a")
+        with pytest.raises(ParamsMismatch, match="1 records preprocessed of the 2 taken"):
+            companion.finalize()
+        companion.insert_many([b"b", b"c"])
+        with pytest.raises(ParamsMismatch, match="3 records preprocessed of the 2 taken"):
+            companion.limbs
+
+    def test_one_companion_per_accumulator(self):
+        source = MshAccumulator()
+        source.companion()
+        with pytest.raises(ValueError, match="at most one companion"):
+            source.companion()
+
+    def test_fused_batch_is_answered_with_two_sums(self, msh_pool):
+        records = [b"One  Two", b"", b"THREE"]
+        batch = msh_pool.submit(DEFAULT_PARAMS, records, fused=True)
+        reply = msh_pool.result(batch)
+        assert len(reply) == 2 * DEFAULT_PARAMS.digest_bytes
+        limbs = [int.from_bytes(reply[i:i + 8], "little") for i in range(0, len(reply), 8)]
+        assert limbs[:64] == oracle_msh(records)[0]
+        assert limbs[64:] == oracle_msh(map(preproc_record, records))[0]
+
+
+class _Unflagged:
+    """The batch header as the parent packs it, with the fused flag cleared:
+    the worker, which reads the real header, answers l limbs only."""
+
+    def __init__(self, real):
+        self.real = real
+        self.size = real.size
+
+    def pack(self, m, count, fused):
+        return self.real.pack(m, count, 0)
+
+
+class TestFusedPoolFaults:
+    """Each test runs its own pool, so the session's stays whole."""
+
+    def test_killed_worker_fails_the_companion_without_hanging(self):
+        import os
+        import signal
+        import threading
+
+        from palm.errors import MshWorkerError
+
+        with msh.MshPool() as pool:
+            assert _fused([b"warm"], pool) == _fused([b"warm"], None)
+            pids = pool.pids()
+            outcome = []
+
+            def run():
+                source = MshAccumulator(pool=pool)
+                companion = source.companion()
+                for record in [b"a", b"b", b"c", b"d"]:
+                    source.insert(record)
+                    companion.insert(record)
+                for pid in pids:
+                    os.kill(pid, signal.SIGKILL)
+                try:
+                    companion.finalize()
+                except MshWorkerError as exc:
+                    outcome.append(str(exc))
+
+            with mock.patch.object(msh, "FLUSH_RECORDS", 2):
+                for pid in pids:  # stopped workers cannot answer before the kill
+                    os.kill(pid, signal.SIGSTOP)
+                thread = threading.Thread(target=run)
+                thread.start()
+                thread.join(60)
+            assert not thread.is_alive()
+            assert len(outcome) == 1 and "exited with code -9" in outcome[0]
+            for pid in pids:
+                _wait_gone(pid)
+            assert _fused([b"a", b"b"], pool) == _fused([b"a", b"b"], None)
+
+    def test_l_limbs_for_a_fused_batch_fail(self):
+        from palm.errors import MshWorkerError
+
+        n = DEFAULT_PARAMS.digest_bytes
+        with msh.MshPool() as pool:
+            assert _fused([b"warm"], pool) == _fused([b"warm"], None)
+            with mock.patch.object(msh, "_BATCH_HEAD", _Unflagged(msh._BATCH_HEAD)):
+                source = MshAccumulator(pool=pool)
+                companion = source.companion()
+                source.insert(b"x")
+                companion.insert(b"x")
+                with pytest.raises(MshWorkerError, match=f"answered {n} bytes, not {2 * n}"):
+                    companion.finalize()
+            assert _fused([b"y"], pool) == _fused([b"y"], None)

@@ -966,3 +966,60 @@ class TestOversizedFrame:
         finally:
             server.shutdown()
             server.server_close()
+
+
+class TestCanonicalModelIds:
+    """A model or adapter id is a canonical decimal key. Any other key would
+    be read by int() as some other id, so the prover would quote h(M) for a
+    model other than the one the request carried; it is refused before any
+    operation runs."""
+
+    BAD_KEYS = ["1_0", " 7", "+7", "٣", "01", "-0", ""]
+
+    @pytest.mark.parametrize("key", BAD_KEYS)
+    @pytest.mark.parametrize("name", ["model", "adapter"])
+    def test_prover_refuses(self, fixture, ctx, monkeypatch, name, key):
+        from palm import protocol
+
+        calls = []
+        for measurer in ("measure_optimization", "measure_inference"):
+            monkeypatch.setattr(protocol, measurer, lambda *a, **k: calls.append(a))
+        if name == "model":
+            req = TestNonLatin1Text()._inference(fixture, f"id-{key}", "snow")
+        else:
+            req = _optimization(fixture, f"id-{key}", "quantize")
+        doc = {"kind": "unigram", "counts": {"0": {"1": 3, key: 1}}}
+        bad = AttestationRequest(req.op, req.chal, dict(req.inputs, **{name: doc}), req.mode)
+        with pytest.raises(SchemaError, match=f"^bad {name}: token id key .* is outside"):
+            prover_handle(bad, ctx)
+        assert calls == []
+
+    def test_context_key_refused(self, fixture, ctx):
+        req = TestNonLatin1Text()._inference(fixture, "ctx-key", "snow")
+        doc = {"kind": "bigram", "counts": {"0": {"1": 3}, "00": {"2": 1}}}
+        bad = AttestationRequest(req.op, req.chal, dict(req.inputs, model=doc), req.mode)
+        with pytest.raises(SchemaError, match="^bad model: context id key '00' is outside"):
+            prover_handle(bad, ctx)
+
+    def test_raw_frame_is_an_error_frame_then_served(self, fixture, ctx, verifier):
+        """The frame is written by hand, so the key reaches the server as
+        the string "1_0", which ToyModel.to_json never writes."""
+        good = TestNonLatin1Text()._inference(fixture, "raw-id", "snow")
+        frame = json.dumps({"type": MSG_REQUEST, "body": good.to_json()}).encode()
+        frame = frame.replace(b'{"1": 3}', b'{"1_0": 3}', 1)
+        assert b'"1_0"' in frame
+        server = serve_background(("127.0.0.1", 0), ctx)
+        try:
+            with socket.create_connection(server.endpoint, timeout=10) as sock:
+                sock.sendall(struct.pack("<I", len(frame)) + frame)
+                error = recv_frame(sock)
+                assert error["type"] == MSG_ERROR
+                assert error["error"].startswith(
+                    "SchemaError: bad model: token id key '1_0' is outside"), error
+                send_frame(sock, {"type": MSG_REQUEST, "body": good.to_json()})
+                message = recv_frame(sock)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert message["type"] == MSG_RESPONSE
+        assert verifier.verify(AttestationResponse.from_json(message["body"]), good).accepted

@@ -479,6 +479,10 @@ class TestColumnarMatchesOracle:
             assert finetune().serialized_bytes() == oracle_model_bytes(kind, expected)
 
     def test_from_json_in_any_order_matches_the_dict_form(self):
-        # "1" and "01" name one context; as in a dict, the later one wins.
-        doc = {"kind": "bigram", "counts": {"5": {"2": 1, "1": 4}, "1": {}, "01": {"3": 2}}}
-        assert ToyModel.from_json(doc) == ToyModel("bigram", {5: {2: 1, 1: 4}, 1: {3: 2}})
+        # Keys arrive sorted as strings, so "10" before "9"; an id has one
+        # key only, so "01" is refused instead of naming context 1 again.
+        doc = {"kind": "bigram", "counts": {"10": {"2": 1, "1": 4}, "1": {}, "9": {"3": 2}}}
+        assert ToyModel.from_json(doc) == ToyModel("bigram", {10: {2: 1, 1: 4}, 1: {}, 9: {3: 2}})
+        doc["counts"]["01"] = {"3": 2}
+        with pytest.raises(ValueError, match="'01'"):
+            ToyModel.from_json(doc)
