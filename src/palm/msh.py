@@ -327,8 +327,10 @@ def _hash_batch(request: bytes) -> bytes:
     )
 
 
-def _serve(conn) -> None:
-    """Worker main loop: answer batches until an empty request or EOF."""
+def _serve(conn, alive) -> None:
+    """Worker main loop: answer batches until an empty request or EOF. The
+    worker holds `alive` open and never writes it, so the pool reads its end
+    of that pipe as ready the moment the worker exits."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the pool's owner decides when to stop
     while True:
         try:
@@ -357,15 +359,21 @@ class _Batch:
 
 class _Worker:
     """A worker process, its pipe, and the batches it has not answered yet,
-    in the order they were sent: a worker answers in order."""
+    in the order they were sent: a worker answers in order. `exited` reads as
+    ready once the process has exited: the kernel closes the worker's end
+    when it exits (the forkserver closes its copy right after the start),
+    while the process's sentinel only turns ready once the forkserver has
+    reaped it."""
 
     def __init__(self, context, index: int):
         conn, child_conn = context.Pipe()
+        self.exited, alive = context.Pipe(duplex=False)
         self.process = context.Process(
-            target=_serve, args=(child_conn,), name=f"palm-msh-{index}", daemon=True
+            target=_serve, args=(child_conn, alive), name=f"palm-msh-{index}", daemon=True
         )
         self.process.start()
         child_conn.close()
+        alive.close()
         self.conn = conn
         self.unanswered: deque[_Batch] = deque()  # appended under the pool lock
         self.recv_lock = threading.Lock()  # one reader at a time; only readers pop
@@ -439,19 +447,14 @@ class MshPool:
 
     def _top_up(self) -> list[_Worker]:
         """Drop the workers that have exited, start new ones until there are
-        `size` of them, and return the dropped ones (holding the lock). An
-        idle worker's pipe reads as ready only once the worker is gone."""
+        `size` of them, and return the dropped ones (holding the lock)."""
         # multiprocessing is imported on first use, so that a process that
         # never hashes in a pool (a client, a verifier) does not pay for it.
         import multiprocessing
         from multiprocessing.connection import wait
 
-        ready = wait(
-            [w.process.sentinel for w in self._workers]
-            + [w.conn for w in self._workers if not w.unanswered],
-            timeout=0,
-        )
-        ended = [w for w in self._workers if w.process.sentinel in ready or w.conn in ready]
+        ready = wait([w.exited for w in self._workers], timeout=0)
+        ended = [w for w in self._workers if w.exited in ready]
         if ended:
             self._workers = [w for w in self._workers if w not in ended]
         if len(self._workers) < self.size:
@@ -507,6 +510,7 @@ class MshPool:
         while worker.unanswered:
             worker.unanswered.popleft().error = error
         worker.conn.close()
+        worker.exited.close()
 
     def close(self) -> None:
         """Stop every worker. A batch still unread fails with MshWorkerError."""

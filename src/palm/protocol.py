@@ -11,7 +11,9 @@ store. It runs a fixed check pipeline and reports every check it ran.
 Each operation is one entry of the OPS table: the inputs a request must and
 may carry, and the measurer call that runs it. A request checks itself
 against its entry when constructed, wherever it was built or decoded; the
-prover decodes every input before the measurer runs.
+prover decodes every input before the measurer runs. Models, adapters and
+tokenizers are decoded through the context's DecodeCache, so a prover that
+is sent the document it decoded last reuses the object.
 
 Check order (first failure wins, later checks are not executed):
 
@@ -32,11 +34,12 @@ from __future__ import annotations
 
 import base64
 import json
+import marshal
 import os
 import threading
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -133,14 +136,49 @@ _DECODERS = {
     "history": _history,
 }
 
+# Inputs decoded through the context's DecodeCache, each its own key space.
+_CACHED = ("model", "adapter", "tokenizer")
+
+
+class DecodeCache:
+    """The last object decoded for each input name, kept with its document.
+
+    A document is compared as its marshal bytes, and a miss decodes
+    marshal.loads of those bytes. For a JSON value that is the document
+    itself: marshal keeps types exact, so a count of `true` or `1.0` never
+    finds the entry of a `1`. Any other object is decoded as what marshal
+    makes of it (a numpy scalar as bytes), so every document with one key
+    decodes alike, and a hit gives what a decode would. Only a document that
+    decoded without error replaces the entry, and the objects kept are never
+    written to (ToyModel columns are read-only). Documents that are equal
+    but share their objects differently encode differently, which costs a
+    miss, never a wrong hit. A context keeps at most one model, one adapter
+    and one tokenizer. Safe to share between threads; two threads that miss
+    on one document both decode it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.last: dict[str, tuple[bytes, object]] = {}
+
+    def get(self, space: str, doc, decode: Callable[[object], object]):
+        blob = marshal.dumps(doc)
+        with self._lock:
+            kept = self.last.get(space)
+        if kept is not None and kept[0] == blob:
+            return kept[1]
+        value = decode(marshal.loads(blob))
+        with self._lock:
+            self.last[space] = (blob, value)
+        return value
+
 
 @dataclass
 class _Run:
     """One request being proved. Indexing returns an input decoded by its
     name's decoder, or None for an absent optional input; an input that does
-    not decode (a key missing, a value of the wrong type or out of range) is
-    a SchemaError. `open` opens a staged dataset the way the request holds
-    it, closed with `handles`."""
+    not decode (a key missing, a value of the wrong type or out of range, an
+    object marshal cannot encode) is a SchemaError. `open` opens a staged
+    dataset the way the request holds it, closed with `handles`."""
 
     request: AttestationRequest
     ctx: TdContext
@@ -150,9 +188,13 @@ class _Run:
     def __getitem__(self, name: str):
         if name not in self.request.inputs:
             return None
+        value = self.request.inputs[name]
         decode = _DECODERS.get(name, lambda value, ctx: value)
         try:
-            return decode(self.request.inputs[name], self.ctx)
+            if name in _CACHED:
+                return self.ctx.decode_cache.get(
+                    name, value, lambda doc: decode(doc, self.ctx))
+            return decode(value, self.ctx)
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad {name}: {exc}") from exc
 
@@ -296,7 +338,9 @@ class TdContext:
     handle. msh_pool, when set, is given to every mapped handle opened, so
     its epoch is hashed in worker processes; the pool's owner (a serving
     AttestationServer) stops it. Without one, everything runs in this
-    process."""
+    process. decode_cache holds the last model, adapter and tokenizer decoded
+    for this context's requests; every context, a copy too, starts with an
+    empty one."""
 
     image_bytes: bytes
     h_td: bytes
@@ -309,6 +353,8 @@ class TdContext:
     mapped_opener: Callable[[str, Optional[MshPool]], MappedDataset] = MappedDataset
     report_hook: Callable = staticmethod(lambda report: report)
     msh_pool: Optional[MshPool] = None
+    decode_cache: DecodeCache = field(
+        default_factory=DecodeCache, init=False, repr=False, compare=False)
 
     @classmethod
     def create(

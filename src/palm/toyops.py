@@ -45,7 +45,11 @@ def _tokenize(record: bytes) -> list[str]:
 
 @dataclass(frozen=True)
 class ToyTokenizer:
-    """Static vocabulary mapping token strings to dense ids; id 0 is reserved."""
+    """Static vocabulary mapping token strings to dense ids; id 0 is reserved.
+
+    The vocabulary is not changed after construction: the id list, the
+    latin-1 bytes -> id map and the canonical bytes are each built once per
+    tokenizer, when first used."""
 
     vocab: dict[str, int]
 
@@ -78,12 +82,21 @@ class ToyTokenizer:
             return self._tokens_by_id[token_id]
         return UNK_TOKEN
 
-    def serialized_bytes(self) -> bytes:
-        """u32 entry count, then (length-prefixed token, u32 id) sorted by token."""
-        entries = sorted((tok.encode("latin-1"), tid) for tok, tid in self.vocab.items())
+    @cached_property
+    def _ids_of_bytes(self) -> dict[bytes, int]:
+        """Token id by the token's latin-1 bytes, the form records are split into."""
+        return {tok.encode("latin-1"): tid for tok, tid in self.vocab.items()}
+
+    @cached_property
+    def _canonical(self) -> bytes:
+        entries = sorted(self._ids_of_bytes.items())
         return u32(len(entries)) + b"".join(
             [_pack_u32(len(tok)) + tok + _pack_u32(tid) for tok, tid in entries]
         )
+
+    def serialized_bytes(self) -> bytes:
+        """u32 entry count, then (length-prefixed token, u32 id) sorted by token."""
+        return self._canonical
 
     def to_json(self) -> dict:
         return {"vocab": dict(sorted(self.vocab.items()))}
@@ -136,7 +149,8 @@ class ToyModel:
     (u32) lists the context ids in order and `starts` (one longer) bounds
     each context's run of rows. A context may have no rows: the dict form
     `ToyModel(kind, {ctx: {}})` serialises its header, so the table keeps it.
-    `counts` is the dict form, built when read.
+    `counts` is the dict form, built when read. The columns are read-only,
+    so one model can serve many requests at once.
     """
 
     __slots__ = ("kind", "contexts", "starts", "tokens", "freqs")
@@ -164,6 +178,7 @@ class ToyModel:
         self.contexts = _column(contexts, np.uint32, len(contexts), "context id")
         self.tokens = _column(tokens, np.uint32, self.starts[-1], "token id")
         self.freqs = _column(freqs, np.uint64, self.starts[-1], "count")
+        self._freeze()
 
     @classmethod
     def _from_rows(cls, kind, ctx, tokens, freqs, contexts=None) -> "ToyModel":
@@ -176,7 +191,12 @@ class ToyModel:
         model.starts = np.append(np.searchsorted(ctx, model.contexts), len(ctx)).astype(np.int64)
         model.tokens = tokens.astype(np.uint32, copy=False)
         model.freqs = freqs.astype(np.uint64, copy=False)
+        model._freeze()
         return model
+
+    def _freeze(self) -> None:
+        for column in (self.contexts, self.starts, self.tokens, self.freqs):
+            column.flags.writeable = False
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(context, token, count) columns, one entry per row."""
@@ -246,9 +266,9 @@ class ToyModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ToyModel":
-        """Decode in document order, then sort unless already sorted. Frames
-        sort their keys as strings, so "10" arrives before "9". Ids must be
-        canonical decimal keys, so no two keys name one id."""
+        """Decode in document order, then sort unless already sorted, as a
+        document whose keys were sorted as strings ("10" before "9") is not.
+        Ids must be canonical decimal keys, so no two keys name one id."""
         kind = str(doc["kind"])
         counts = doc["counts"]
         model = cls.__new__(cls)
@@ -389,7 +409,7 @@ def train(
     order. A count past u64 raises.
     """
     _check_kind(kind)
-    ids_of = {tok.encode("latin-1"): tid for tok, tid in tokenizer.vocab.items()}
+    ids_of = tokenizer._ids_of_bytes
     split = [record.split() for record in records]
     if not config.epochs:
         return ToyModel.empty(kind)

@@ -7,6 +7,10 @@ ERROR frame back, and the connection stays open if the frame was read
 whole (one over MAX_FRAME is not, so it closes). Transport adds nothing
 to the trust story: responses are byte-identical to in-process calls,
 and their integrity rests on the quote, not the channel.
+
+Frames keep their objects' key order and do not sort keys: a frame is not
+a canonical encoding of what it carries, and nothing is hashed from it.
+Only AttestationResponse.canonical_bytes is canonical.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
 
 
 def send_frame(sock: socket.socket, message: dict) -> None:
-    body = json.dumps(message, sort_keys=True, separators=(",", ":")).encode()
+    body = json.dumps(message, separators=(",", ":")).encode()
     sock.sendall(struct.pack("<I", len(body)) + body)
 
 

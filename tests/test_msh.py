@@ -305,16 +305,21 @@ class TestPooledAccumulator:
 
 
 def _wait_gone(pid: int, timeout: float = 10.0) -> None:
-    """Wait until a killed process has released its files: it is a zombie or reaped."""
+    """Wait until a killed process has released its files: it is reaped, or a
+    zombie with no other thread left. A worker runs more than one thread
+    (numpy starts some), and its main thread can read as a zombie while
+    another thread, which still holds the files, is exiting."""
+    import os
     import time
 
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         try:
             with open(f"/proc/{pid}/stat") as f:
-                if f.read().rsplit(")", 1)[1].split()[0] == "Z":
-                    return
-        except FileNotFoundError:
+                zombie = f.read().rsplit(")", 1)[1].split()[0] == "Z"
+            if zombie and len(os.listdir(f"/proc/{pid}/task")) == 1:
+                return
+        except (FileNotFoundError, ProcessLookupError):
             return
         time.sleep(0.01)
     raise AssertionError(f"process {pid} still running {timeout}s after SIGKILL")
@@ -346,6 +351,47 @@ class TestPoolFaults:
             for pid in pids:
                 _wait_gone(pid)
             assert msh_of_records([b"a", b"b"], pool=pool) == msh_of_records([b"a", b"b"])
+            assert not set(pool.pids()) & set(pids)
+
+    def test_workers_killed_before_the_forkserver_reaps_them_are_replaced(self):
+        """A killed worker is a zombie until the forkserver reaps it, and only
+        then does its process sentinel turn ready. The pool must not send
+        the next digest to it in that window: stopping the forkserver holds
+        the window open."""
+        import multiprocessing
+        import os
+        import signal
+        import threading
+        from multiprocessing import forkserver
+
+        with msh.MshPool() as pool:
+            assert msh_of_records([b"warm"], pool=pool) == msh_of_records([b"warm"])
+            pids = pool.pids()
+            server = forkserver._forkserver._forkserver_pid
+            # The forkserver reports a new process's pid before it closes its
+            # copies of that process's fds, so stopped too early it would
+            # still hold the last worker's exit pipe open. Once it has started
+            # one more process, it has closed them.
+            probe = multiprocessing.get_context("forkserver").Process(target=int)
+            probe.start()
+            probe.join()
+            acc = MshAccumulator(pool=pool)
+            with mock.patch.object(msh, "FLUSH_RECORDS", 2):
+                for pid in pids:  # each worker holds one unanswered batch
+                    os.kill(pid, signal.SIGSTOP)
+                acc.insert_many([b"a", b"b", b"c", b"d"])
+            os.kill(server, signal.SIGSTOP)
+            resume = threading.Timer(0.3, os.kill, (server, signal.SIGCONT))
+            try:
+                for pid in pids:
+                    os.kill(pid, signal.SIGKILL)
+                for pid in pids:
+                    _wait_gone(pid)
+                resume.start()  # new workers need the forkserver
+                assert msh_of_records([b"a", b"b"], pool=pool) == msh_of_records([b"a", b"b"])
+            finally:
+                resume.cancel()
+                os.kill(server, signal.SIGCONT)
             assert not set(pool.pids()) & set(pids)
 
     def test_out_of_protocol_reply_fails_the_batch(self):

@@ -781,7 +781,8 @@ class TestOperationTable:
 
     def test_prover_calls_what_the_module_names_at_call_time(self, fixture, ctx, monkeypatch):
         """A harness that replaces a measurer, loader or decoder (to trace it)
-        sees every call the prover makes."""
+        sees every call the prover makes. A document the context decoded
+        before is not decoded again; a new one reaches the replaced decoder."""
         from palm import protocol
         from palm.toyops import ToyModel, ToyTokenizer
 
@@ -789,9 +790,10 @@ class TestOperationTable:
 
         def spy(owner, attr, as_classmethod=False):
             real = getattr(owner, attr)
+            name = f"{owner.__name__}.{attr}" if as_classmethod else attr
 
             def counted(*args, **kwargs):
-                calls.append(attr)
+                calls.append(name)
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(owner, attr, classmethod(lambda cls, doc: counted(doc))
@@ -805,8 +807,16 @@ class TestOperationTable:
         req = fixture.make_request("traced")
         prover_handle(AttestationRequest(req.op, req.chal, req.inputs, "inmem", True), ctx)
         prover_handle(TestNonLatin1Text()._inference(fixture, "traced", "snow"), ctx)
-        assert calls == ["load_in_memory", "from_json", "measure_training",
-                         "from_json", "from_json", "measure_inference"]
+        other = build_request(
+            "SingleInference",
+            {"model": TestNonLatin1Text.MODEL, "query": "snow",
+             "tokenizer": ToyTokenizer.build([b"other words"]).to_json()},
+            nonce_chal("traced-other"),
+        )
+        prover_handle(other, ctx)
+        assert calls == ["load_in_memory", "ToyTokenizer.from_json", "measure_training",
+                         "ToyModel.from_json", "measure_inference",
+                         "ToyTokenizer.from_json", "measure_inference"]
 
 
 def _optimization(fixture, tag: str, id_opt: str, **inputs) -> AttestationRequest:
