@@ -10,7 +10,7 @@ prover refusing to produce a quote at all (fail closed).
 Storage-level notes: a repeated record is modeled by substituting one
 record's bytes with another's before the epoch (the multiset then truly
 contains a duplicate member); in-domain double sampling is foreclosed by
-the access bitmap and exercised separately. A skipped record is modeled
+the access map and exercised separately. A skipped record is modeled
 by a consumer that believes the dataset one record shorter than the scan
 found, which the epoch-completeness gate catches at finalization.
 """
@@ -153,8 +153,9 @@ class AdversaryOutcome:
 
 
 class _MidEpochTamperDataset(MappedDataset):
-    """Rewrites a later record on disk after a set number of samples,
-    modeling storage that mutates underneath an in-progress epoch."""
+    """Rewrites a later record on disk after a set number of records were
+    sampled, modeling storage that mutates underneath an in-progress epoch.
+    A run that holds the trigger is read as two runs, split there."""
 
     def __init__(self, path: str, pool: Optional[MshPool], trigger_after: int,
                  target_index: int):
@@ -162,14 +163,17 @@ class _MidEpochTamperDataset(MappedDataset):
         self._remaining = trigger_after
         self._target = target_index
 
-    def sample_record(self, index):
-        if self._remaining == 0:
+    def sample_run(self, start, stop):
+        if 0 <= self._remaining < stop - start:
+            split = start + self._remaining
+            head = super().sample_run(start, split)
             self._remaining = -1
             offset, length = self._spans[self._target]
             tamper_record(self.path, self._target, b"X" * length)
-        elif self._remaining > 0:
-            self._remaining -= 1
-        return super().sample_record(index)
+            return head + super().sample_run(split, stop)
+        if self._remaining > 0:
+            self._remaining -= stop - start
+        return super().sample_run(start, stop)
 
 
 class _ShortEpochDataset(MappedDataset):

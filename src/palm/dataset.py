@@ -8,18 +8,21 @@ File layout (all integers little-endian):
 
 A dataset is measured either as a whole (plain SHA3-256 over the file
 bytes, for data that is loaded into protected memory up front) or as a
-multiset hash folded record-by-record at the moment each record is
-sampled from the file (for data that stays outside and is pulled in
-lazily, "mapped" mode). A mapped handle owns its epoch: it folds every
-record it serves into its own accumulator, hashed by the MshPool it was
-opened with (if any), so the bytes served are the bytes measured. A
-mapped record is read with os.pread on the file descriptor the handle
-holds, so a file that shrinks underneath the handle gives a short read
-and a FormatError, never a fault in the process. The mapped path
-enforces an exactly-once epoch: every record index must be sampled
-precisely one time before finish_epoch gives the digest, so a swapped or
-re-served record after measurement cannot go unnoticed and a withheld
-record blocks finalization.
+multiset hash folded at the moment records are sampled from the file (for
+data that stays outside and is pulled in lazily, "mapped" mode). A mapped
+handle owns its epoch: it folds every record it serves into its own
+accumulator, hashed by the MshPool it was opened with (if any). Records
+are sampled in runs of consecutive indices: one os.pread on the file
+descriptor the handle holds reads a run's bytes, length prefixes included,
+into one buffer; the accumulator folds the records that buffer holds at
+the spans of the index, and the caller is served records sliced from that
+same buffer. So the bytes served are the bytes measured, and nothing reads
+storage a second time between the check and the use. A file that shrinks
+underneath the handle gives a short read and a FormatError, never a fault
+in the process. The mapped path enforces an exactly-once epoch: every
+record index must be sampled precisely one time before finish_epoch gives
+the digest, so a swapped or re-served record after measurement cannot go
+unnoticed and a withheld record blocks finalization.
 """
 
 from __future__ import annotations
@@ -28,7 +31,10 @@ import hashlib
 import os
 import struct
 import threading
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .encoding import u32, u64
 from .errors import (
@@ -128,10 +134,11 @@ class MappedDataset:
 
     Opening scans only the length prefixes, in SCAN_CHUNK reads, to build an
     offset index; record bytes are first read (and first measured) when
-    sample_record pulls them with os.pread and folds them into the handle's
-    accumulator, hashed by `pool`'s workers when one is given. The access
-    bitmap admits each index exactly once per epoch. The handle owns its
-    file: close it, or use it as a context manager.
+    sample_run pulls a run of them with one os.pread and folds them into the
+    handle's accumulator, hashed by `pool`'s workers when one is given. The
+    access map, one byte per record, admits each index exactly once per
+    epoch. The handle owns its file: close it, or use it as a context
+    manager.
     """
 
     def __init__(self, path: str | os.PathLike, pool: Optional[MshPool] = None):
@@ -139,14 +146,14 @@ class MappedDataset:
         self._file = open(self.path, "rb", buffering=0)
         self._fd = self._file.fileno()
         try:
-            self._spans = list(
-                record_spans(lambda offset: os.pread(self._fd, SCAN_CHUNK, offset),
-                             os.fstat(self._fd).st_size)
-            )
+            spans = record_spans(lambda offset: os.pread(self._fd, SCAN_CHUNK, offset),
+                                 os.fstat(self._fd).st_size)
+            # One (offset, length) row per record.
+            self._spans = np.fromiter(chain.from_iterable(spans), np.int64).reshape(-1, 2)
         except Exception:
             self._file.close()
             raise
-        self._seen = bytearray((len(self._spans) + 7) // 8)
+        self._seen = bytearray(len(self._spans))
         self._lock = threading.Lock()
         self.pool = pool
         self.accumulator = MshAccumulator(pool=pool)
@@ -154,42 +161,51 @@ class MappedDataset:
     def __len__(self) -> int:
         return len(self._spans)
 
-    def _claim(self, index: int) -> None:
-        byte, bit = divmod(index, 8)
+    def _claim(self, start: int, stop: int) -> None:
         with self._lock:
-            if self._seen[byte] & (1 << bit):
-                raise DuplicateAccess(f"record {index} already sampled this epoch")
-            self._seen[byte] |= 1 << bit
+            taken = self._seen.find(1, start, stop)
+            if taken >= 0:
+                raise DuplicateAccess(f"record {taken} already sampled this epoch")
+            self._seen[start:stop] = b"\x01" * (stop - start)
+
+    def sample_run(self, start: int, stop: int) -> list[bytes]:
+        """Read records start..stop-1 from the file and fold them into the
+        accumulator, as one batch.
+
+        The run is claimed whole, then read with one pread, length prefixes
+        included. The accumulator folds the records that buffer holds at the
+        index's spans, and the caller gets the same records sliced from the
+        same buffer; whatever the pipeline consumes is what got measured. A
+        record the file no longer holds in full is a FormatError.
+        """
+        if not 0 <= start <= stop <= len(self._spans):
+            bad = start if not 0 <= start < len(self._spans) else len(self._spans)
+            raise IndexOutOfRange(f"index {bad} not in [0, {len(self._spans)})")
+        if start == stop:
+            return []
+        self._claim(start, stop)
+        base = int(self._spans[start, 0]) - 4  # where the first length prefix starts
+        spans = self._spans[start:stop] - (base, 0)
+        ends = spans.sum(axis=1)
+        buffer = os.pread(self._fd, int(ends[-1]), base)
+        if len(buffer) < ends[-1]:
+            short = int(np.argmax(ends > len(buffer)))
+            offset, length = spans[short].tolist()
+            raise FormatError(
+                f"record {start + short} truncated on disk: "
+                f"read {max(0, len(buffer) - offset)} of {length} bytes"
+            )
+        self.accumulator.insert_spans(buffer, spans)
+        return [buffer[offset:end] for offset, end in zip(spans[:, 0].tolist(), ends.tolist())]
 
     def sample_record(self, index: int) -> bytes:
-        """Read record bytes from the file and fold them into the accumulator.
-
-        The fold happens on the bytes actually returned to the caller, at the
-        time of the call; whatever the pipeline consumes is what got measured.
-        A record the file no longer holds in full is a FormatError.
-        """
-        if not 0 <= index < len(self._spans):
-            raise IndexOutOfRange(f"index {index} not in [0, {len(self._spans)})")
-        self._claim(index)
-        offset, length = self._spans[index]
-        record = os.pread(self._fd, length, offset)
-        if len(record) != length:
-            raise FormatError(
-                f"record {index} truncated on disk: read {len(record)} of {length} bytes"
-            )
-        self.accumulator.insert(record)
-        return record
+        """sample_run of the one record at index."""
+        return self.sample_run(index, index + 1)[0]
 
     def missing_indices(self) -> list[int]:
-        whole, rest = divmod(len(self._spans), 8)
-        if self._seen == b"\xff" * whole + bytes([(1 << rest) - 1] if rest else []):
+        if self._seen.find(0) < 0:
             return []  # the usual case, decided without a per-index scan
-        missing = []
-        for index in range(len(self._spans)):
-            byte, bit = divmod(index, 8)
-            if not self._seen[byte] & (1 << bit):
-                missing.append(index)
-        return missing
+        return [index for index, seen in enumerate(self._seen) if not seen]
 
     def close(self) -> None:
         self._file.close()

@@ -14,10 +14,12 @@ labels.
 Every operation on a dataset handle makes one pass over it (_one_pass), so
 a mapped dataset streams into the operation in one exactly-once epoch and
 no copy of it is built; Training's epochs scale the counts of that pass.
-A mapped handle opened with an MshPool has its epoch hashed by the pool's
-workers: every record is still sampled, claimed and consumed here, once,
-and the bytes consumed are the bytes hashed. A mapped Preprocessing
-measures Dpre through a companion of the handle's accumulator
+The pass reads a mapped dataset in runs of consecutive records, each
+claimed, read and measured as one unit (MappedDataset.sample_run). A mapped
+handle opened with an MshPool has its epoch hashed by the pool's workers,
+which are shipped each run's read buffer: every record is still claimed and
+consumed here, once, and the bytes consumed are the bytes hashed. A mapped
+Preprocessing measures Dpre through a companion of the handle's accumulator
 (MshAccumulator.companion), fed the records the operation consumes. Pooled,
 the workers preprocess and hash each shipped record in the same batch as
 its D hash, so this process never runs preproc_record unless the run keeps
@@ -31,6 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
+from . import msh
 from .dataset import (
     InMemoryDataset,
     MappedDataset,
@@ -39,7 +42,7 @@ from .dataset import (
     record_spans,
 )
 from .encoding import lp, sha3_256, u32
-from .errors import FormatError, PalmError
+from .errors import FormatError, IncompleteEpoch, PalmError
 from .msh import MshAccumulator, MshDigest, msh_of_records
 from .toyops import (
     History,
@@ -205,14 +208,30 @@ def _one_pass(
 
     Every operation on a dataset handle runs through here. In-memory handles
     hand over the records hashed whole at load: h(role). Mapped handles are
-    streamed: the operation consumes each record as sample_record returns
-    it, one call per index in index order, no record list is built, and the
-    epoch is finished after the pass, so a record withheld, served twice, or
-    left unconsumed by the operation fails the run: MSH(role).
+    streamed in index order, in runs of msh.FLUSH_RECORDS records: each run
+    is claimed, read and measured by one sample_run call, the operation
+    consumes its records one by one, and no record list longer than a run
+    is built. The epoch is finished after the pass, so a record withheld,
+    served twice, or left unconsumed by the operation fails the run:
+    MSH(role). A run is measured before its records are consumed, so an
+    operation that stops inside one fails with the records it left.
     """
     if isinstance(ds, InMemoryDataset):
         return op(ds.records), LabeledMeasurement(f"h({role})", ds.file_bytes_hash)
-    result = op(ds.sample_record(index) for index in range(len(ds)))
+    taken = claimed = 0
+
+    def records() -> Iterator[bytes]:
+        nonlocal taken, claimed
+        step = msh.FLUSH_RECORDS
+        for start in range(0, len(ds), step):
+            claimed = min(start + step, len(ds))
+            for record in ds.sample_run(start, claimed):
+                taken += 1
+                yield record
+
+    result = op(records())
+    if taken < claimed:
+        raise IncompleteEpoch(list(range(taken, claimed)) + ds.missing_indices())
     return result, LabeledMeasurement(f"MSH({role})", finish_epoch(ds).encode())
 
 

@@ -20,9 +20,14 @@ with an MshPool keeps an immutable copy of each record instead of its XOF
 output and ships every full batch to one of the pool's worker processes,
 which hashes the records with the same XOF, reduces them with the same sum
 and answers with the batch's l limbs; the accumulator adds the answers up
-when its state is read. The caller still decides which bytes are measured
-and when; only the arithmetic over those bytes runs elsewhere, on every
-usable core, and the digest is byte-identical to the in-process one.
+when its state is read. A batch is one buffer plus the (offset, length)
+span of each record in it: records inserted one by one are joined into a
+buffer when their batch ships, while insert_spans ships a buffer the caller
+already holds as it is, such as a run of records read from a dataset file,
+and the worker hashes exactly the bytes at the spans it was given. The
+caller still decides which bytes are measured and when; only the
+arithmetic over those bytes runs elsewhere, on every usable core, and the
+digest is byte-identical to the in-process one.
 
 An accumulator can also give a companion: the multiset hash of
 toyops.preproc_record over every record the accumulator takes from then
@@ -45,7 +50,6 @@ import struct
 import threading
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Optional
 
 import numpy as np
@@ -70,10 +74,14 @@ IN_FLIGHT_PER_WORKER = 2
 # A worker that does not exit this long after being asked to is killed.
 STOP_TIMEOUT_S = 10.0
 
+# A sender that found every worker at the cap looks again after this long:
+# another thread may have read the replies it was waiting for.
+READY_TIMEOUT_S = 0.05
+
 # Request to a worker: u32 m, u32 record count, u32 fused (0 or 1), then
-# one u32 length per record, then the records back to back. The reply is
-# the l summed limbs of the records, followed, when fused, by the l summed
-# limbs of their preproc_record outputs.
+# one u32 offset and one u32 length per record, then the buffer those spans
+# point into. The reply is the l summed limbs of the records, followed, when
+# fused, by the l summed limbs of their preproc_record outputs.
 _BATCH_HEAD = struct.Struct("<III")
 
 
@@ -191,6 +199,23 @@ class MshAccumulator:
             self._ship()
         return self
 
+    def insert_spans(self, buffer: bytes, spans: np.ndarray) -> "MshAccumulator":
+        """Fold in the records `buffer` holds at `spans`, one (offset, length)
+        row per record, as one batch.
+
+        In process, each record is inserted as a view into the buffer.
+        Pooled, the buffer itself is shipped with the spans, after whatever
+        insert left pending; the caller must not change the buffer."""
+        if self._pool is None:
+            view = memoryview(buffer)
+            for offset, length in spans.tolist():
+                self.insert(view[offset : offset + length])
+            return self
+        self._ship()
+        self._submit(buffer, spans)
+        self.count += len(spans)
+        return self
+
     def _ship(self) -> None:
         """Hand the pending batch on: reduce it here, or send it to the pool."""
         if not self._pending:
@@ -198,11 +223,14 @@ class MshAccumulator:
         if self._pool is None:
             self._limbs += _batch_sum(b"".join(self._pending), self.params)
         else:
-            fused = self._companion is not None
-            self._shipped.append(self._pool.submit(self.params, self._pending, fused))
-            while self._shipped and self._shipped[0].done():
-                self._add(self._shipped.popleft())
+            self._submit(self._pending)
         self._pending.clear()
+
+    def _submit(self, records, spans: Optional[np.ndarray] = None) -> None:
+        fused = self._companion is not None
+        self._shipped.append(self._pool.submit(self.params, records, fused, spans))
+        while self._shipped and self._shipped[0].done():
+            self._add(self._shipped.popleft())
 
     def _add(self, batch: "_Batch") -> None:
         sums = np.frombuffer(self._pool.result(batch), dtype=self.params.dtype)
@@ -267,9 +295,10 @@ class _Preprocessed(MshAccumulator):
 
     In process it preprocesses and hashes each record it is given. Pooled,
     the source's workers hash the preprocessed records and add their sums
-    here, and insert counts the records consumed. Reading the state flushes
-    the source first, then raises ParamsMismatch unless the companion was
-    given exactly as many records as its source took."""
+    here, and insert and insert_many only count the records consumed.
+    Reading the state flushes the source first, then raises ParamsMismatch
+    unless the companion was given exactly as many records as its source
+    took."""
 
     __slots__ = ("_source", "_base")
 
@@ -282,6 +311,12 @@ class _Preprocessed(MshAccumulator):
         if self._pool is None:
             return super().insert(preproc_record(record))
         self.count += 1
+        return self
+
+    def insert_many(self, records: Iterable[bytes]) -> "MshAccumulator":
+        if self._pool is None:
+            return super().insert_many(records)
+        self.count += sum(1 for _ in records)
         return self
 
     def _flush(self) -> None:
@@ -314,12 +349,14 @@ def _hash_batch(request: bytes) -> bytes:
     fused request, the l summed limbs of their preproc_record outputs."""
     m, count, fused = _BATCH_HEAD.unpack_from(request)
     params = MshParams(m)
-    lengths = struct.unpack_from(f"<{count}I", request, _BATCH_HEAD.size)
-    ends = list(accumulate(lengths, initial=_BATCH_HEAD.size + 4 * count))
-    if ends[-1] != len(request):
-        raise ValueError(f"batch of {len(request)} bytes declares {ends[-1]}")
+    base = _BATCH_HEAD.size + 8 * count
+    spans = np.frombuffer(request, "<u4", 2 * count, _BATCH_HEAD.size).reshape(-1, 2)
+    starts = spans[:, 0].astype(np.int64) + base
+    ends = starts + spans[:, 1]
+    if count and ends.max() > len(request):
+        raise ValueError(f"batch of {len(request)} bytes declares a span to {ends.max()}")
     n_bytes = params.digest_bytes
-    records = [request[start:end] for start, end in zip(ends, ends[1:])]
+    records = [request[start:end] for start, end in zip(starts.tolist(), ends.tolist())]
     streams = (records, map(preproc_record, records)) if fused else (records,)
     return b"".join(
         _batch_sum(b"".join([_xof(record, n_bytes) for record in stream]), params).tobytes()
@@ -385,14 +422,18 @@ class MshPool:
     One worker per usable core, started on first use through a forkserver:
     the pool is started from server handler threads, and forking a process
     that runs threads is unsafe. Requests and replies are raw bytes over one
-    pipe per worker, and batches go to the workers in rotation. At most
-    IN_FLIGHT_PER_WORKER batches wait on a worker; a thread that would send
-    it more first reads the worker's oldest reply. Replies are read by
-    the threads that need them, a batch's owner or a blocked sender, so no
-    extra thread competes for the interpreter. A worker that dies or answers
-    out of protocol fails every batch it held with MshWorkerError and is
-    replaced on the next submit. Safe to share between threads; close()
-    stops the workers, and a later submit starts new ones.
+    pipe per worker, and each batch goes to the worker holding the fewest,
+    so a worker that shares its core with the sender and runs slower is
+    given less, not waited for. At most IN_FLIGHT_PER_WORKER batches wait
+    on a worker; a thread that finds every worker at that cap waits for any
+    of them to answer and reads the oldest reply of each that did. Replies
+    are read by the threads that need them, a batch's owner or a blocked
+    sender, so no extra thread competes for the interpreter. A worker that
+    dies or answers out of protocol is noticed where a send to it or a read
+    from it fails: every batch it held fails with MshWorkerError, and the
+    next submit replaces it and any other worker that has exited meanwhile.
+    Safe to share between threads; close() stops the workers, and a later
+    submit starts new ones.
 
     Like every forkserver or spawn child, a worker imports the program's
     main module again, so a script that uses a pool must start it under
@@ -404,38 +445,49 @@ class MshPool:
         self._lock = threading.Lock()  # guards _workers and every send
         self._workers: list[_Worker] = []
         self._started = 0
-        self._turn = 0  # batches go to the workers in rotation
 
     def pids(self) -> list[int]:
         with self._lock:
             return [w.process.pid for w in self._workers]
 
-    def submit(self, params: MshParams, records: list[bytes], fused: bool = False) -> _Batch:
-        """Ship one batch of records; result() gives its summed limbs, and
-        for a fused batch then the summed limbs of the preprocessed records."""
+    def submit(self, params: MshParams, records, fused: bool = False,
+               spans: Optional[np.ndarray] = None) -> _Batch:
+        """Ship one batch: a list of records or, given spans, the records the
+        buffer `records` holds at those (offset, length) rows. result() gives
+        its summed limbs, and for a fused batch then the summed limbs of the
+        preprocessed records."""
+        if spans is None:
+            lengths = np.fromiter(map(len, records), np.int64, len(records))
+            spans = np.column_stack((np.cumsum(lengths) - lengths, lengths))
+            records = b"".join(records)
         payload = b"".join(
-            [_BATCH_HEAD.pack(params.m, len(records), fused),
-             struct.pack(f"<{len(records)}I", *map(len, records)),
-             *records]
+            [_BATCH_HEAD.pack(params.m, len(spans), fused), spans.astype("<u4").tobytes(), records]
         )
         while True:
             with self._lock:
-                ended = self._top_up()
-                worker = self._workers[self._turn % len(self._workers)]
-                batch = None
+                ended = self._top_up() if len(self._workers) < self.size else []
+                worker = min(self._workers, key=lambda w: len(w.unanswered))
+                batch = waits = None
                 if len(worker.unanswered) < IN_FLIGHT_PER_WORKER:
-                    self._turn += 1
                     batch = _Batch(worker, params.digest_bytes * (1 + fused))
                     worker.unanswered.append(batch)
                     try:
                         worker.conn.send_bytes(payload)
                     except OSError:
-                        worker.process.kill()  # the next read fails what it held
+                        # The worker is gone: fail what it held (this batch
+                        # too) and send the batch again, to a new worker.
+                        self._workers.remove(worker)
+                        ended.append(worker)
+                        batch = None
+                else:
+                    # Every worker is at the cap. A worker's files stay
+                    # open while the pool holds it.
+                    waits = {w: (w.conn.fileno(), w.process.sentinel) for w in self._workers}
             self._retire(ended)
             if batch is not None:
                 return batch
-            # The worker whose turn it is holds the oldest batches: wait for one.
-            self._read_one(worker)
+            if waits is not None:
+                self._read_ready(waits)
 
     def result(self, batch: _Batch) -> bytes:
         """The batch's summed limbs, as bytes; raises MshWorkerError if lost."""
@@ -447,7 +499,9 @@ class MshPool:
 
     def _top_up(self) -> list[_Worker]:
         """Drop the workers that have exited, start new ones until there are
-        `size` of them, and return the dropped ones (holding the lock)."""
+        `size` of them, and return the dropped ones (holding the lock).
+        Called only when fewer than `size` workers are held: a dead worker is
+        dropped where a send to it or a read from it fails."""
         # multiprocessing is imported on first use, so that a process that
         # never hashes in a pool (a client, a verifier) does not pay for it.
         import multiprocessing
@@ -471,6 +525,19 @@ class MshPool:
             with worker.recv_lock:
                 if not worker.conn.closed:
                     self._lose(worker, None)
+
+    def _read_ready(self, waits: dict[_Worker, tuple[int, int]]) -> None:
+        """Wait until some worker has answered or exited, then settle the
+        oldest batch of each that has. The wait ends after READY_TIMEOUT_S
+        in any case, since a batch's owner may read the replies first and
+        leave nothing to wait for. A worker another thread retires
+        meanwhile reads as ready, and _read_one finds nothing to settle."""
+        from multiprocessing.connection import wait
+
+        ready = set(wait([fd for fds in waits.values() for fd in fds], READY_TIMEOUT_S))
+        for worker, fds in waits.items():
+            if ready.intersection(fds):
+                self._read_one(worker)
 
     def _read_one(self, worker: _Worker, until: Optional[_Batch] = None) -> None:
         """Settle the worker's oldest unanswered batch, unless there is none

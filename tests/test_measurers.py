@@ -282,7 +282,7 @@ class TestMeasurementSetEncoding:
 
 # --------------------------------------------------------------------------
 # Single-pass operations stream a mapped dataset: each record is consumed as
-# sample_record returns it. The exactly-once epoch must still fail closed.
+# sample_run returns it. The exactly-once epoch must still fail closed.
 
 EVAL_RECORDS = [b"the\tquick", b"pack\tmy", b"how\tvexingly", b"sphinx\tof",
                 b"jackdaws\tlove", b"five\tboxing"]
@@ -291,8 +291,12 @@ EVAL_RECORDS = [b"the\tquick", b"pack\tmy", b"how\tvexingly", b"sphinx\tof",
 class _ReServingDataset(MappedDataset):
     """Storage that answers a request for record 2 with record 1 again."""
 
-    def sample_record(self, index):
-        return super().sample_record(1 if index == 2 else index)
+    def sample_run(self, start, stop):
+        if start < 2 < stop:
+            return self.sample_run(start, 2) + self.sample_run(2, stop)
+        if start == 2:
+            return super().sample_run(1, 2) + super().sample_run(3, stop)
+        return super().sample_run(start, stop)
 
 
 class _ShortDataset(MappedDataset):
@@ -309,14 +313,16 @@ def _tampered(length: int) -> bytes:
 
 
 class _TamperAfterFirstDataset(MappedDataset):
-    """Rewrites the last record on disk right after the first sample."""
+    """Rewrites the last record on disk right after the first is read."""
 
-    def sample_record(self, index):
-        record = super().sample_record(index)
-        if index == 0:
+    def sample_run(self, start, stop):
+        if start == 0 and stop > 1:
+            return self.sample_run(0, 1) + self.sample_run(1, stop)
+        records = super().sample_run(start, stop)
+        if start == 0:
             last = len(self._spans) - 1
             tamper_record(self.path, last, _tampered(self._spans[last][1]))
-        return record
+        return records
 
 
 STREAM_CONFIG = TrainConfig(seed=5, epochs=3, sampling="shuffled")
@@ -383,6 +389,25 @@ class TestStreamedEpochFailsClosed:
         assert entry.data != msh_of_records(EVAL_RECORDS).encode()
         assert entry.data == msh_of_records(seen).encode()
         assert list(m.outputs.values()) == [expected_payload(model, tokenizer, seen)]
+
+
+class TestEarlyStopFailsClosed:
+    """A run of records is claimed and measured before the operation consumes
+    them, so an operation that stops inside a run must still fail the epoch
+    and name every record it did not take."""
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
+    @pytest.mark.parametrize("stop", [3, 9])
+    def test_operation_that_stops_early(self, tmp_path, msh_pool, pooled, stop):
+        from itertools import islice
+
+        path = tmp_path / "twelve.palmds"
+        write_dataset(path, [b"record %d" % i for i in range(12)])
+        with mock.patch.object(msh, "FLUSH_RECORDS", 4), \
+                MappedDataset(path, msh_pool if pooled else None) as ds:
+            with pytest.raises(IncompleteEpoch) as exc:
+                measurers._one_pass(ds, "D", lambda records: list(islice(records, stop)))
+        assert exc.value.missing_indices == list(range(stop, 12))
 
 
 class TestZeroEpochs:

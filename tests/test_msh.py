@@ -404,6 +404,34 @@ class TestPoolFaults:
                 pool.result(batch)
             assert msh_of_records([b"y"], pool=pool) == msh_of_records([b"y"])
 
+    def test_stopped_worker_does_not_hold_up_the_others(self):
+        """Batches go to the worker holding the fewest, and a sender that
+        finds every worker at the cap waits for any of them, so a worker
+        that cannot run leaves the batches to the others."""
+        import os
+        import signal
+        import threading
+
+        with msh.MshPool() as pool:
+            if pool.size < 2:
+                pytest.skip("needs two workers")
+            assert msh_of_records([b"warm"], pool=pool) == msh_of_records([b"warm"])
+            stopped = pool.pids()[0]
+            records = [b"r%d" % i for i in range(40)]  # 20 batches of two
+            acc = MshAccumulator(pool=pool)
+            thread = threading.Thread(target=acc.insert_many, args=(records,))
+            os.kill(stopped, signal.SIGSTOP)
+            try:
+                with mock.patch.object(msh, "FLUSH_RECORDS", 2):
+                    thread.start()
+                    thread.join(30)
+                    shipped_while_stopped = not thread.is_alive()
+            finally:
+                os.kill(stopped, signal.SIGCONT)
+                thread.join(30)
+            assert shipped_while_stopped
+            assert acc.finalize() == msh_of_records(records)
+
     def test_close_stops_every_worker(self):
         import multiprocessing
 

@@ -651,11 +651,13 @@ class _StopThenKillWorkers(MappedDataset):
     record, so no batch can be answered, and kills them all once two
     batches are out."""
 
-    def sample_record(self, index):
-        if index in (0, 300):
+    def sample_run(self, start, stop):
+        if start < 300 < stop:
+            return self.sample_run(start, 300) + self.sample_run(300, stop)
+        if start in (0, 300):
             for pid in self.pool.pids():
-                os.kill(pid, signal.SIGSTOP if index == 0 else signal.SIGKILL)
-        return super().sample_record(index)
+                os.kill(pid, signal.SIGSTOP if start == 0 else signal.SIGKILL)
+        return super().sample_run(start, stop)
 
 
 class TestServerPool:
