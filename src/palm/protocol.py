@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import base64
 import json
-import marshal
 import os
 import threading
 import time
@@ -84,7 +83,7 @@ from .measurers import (
 )
 from .msh import MshPool, msh_of_records
 from .refstore import ReferenceStore
-from .toyops import History, ToyModel, ToyTokenizer, TrainConfig
+from .toyops import MODEL_KINDS, History, ToyModel, ToyTokenizer, TrainConfig
 
 TIMESTAMP_WINDOW_SECONDS = 300
 
@@ -111,6 +110,13 @@ def _tokenizer(doc, ctx) -> ToyTokenizer:
     return tokenizer
 
 
+def _arch(kind, ctx) -> str:
+    """A model architecture the toy operations train, checked before any op runs."""
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return kind
+
+
 def _staged(name, ctx) -> str:
     """A staged file, named by a plain file name: no request reaches a file
     outside the staging directory."""
@@ -123,9 +129,10 @@ def _history(pairs, ctx) -> History:
     return tuple((_latin1(q, "history query"), _latin1(r, "history response")) for q, r in pairs)
 
 
-# Input name -> decoder(value, ctx); arch and id_opt pass as given. Functions
+# Input name -> decoder(value, ctx); id_opt passes as given. Functions
 # are looked up when called, so a harness that replaces one to trace it is obeyed.
 _DECODERS = {
+    "arch": _arch,
     "model": lambda doc, ctx: ToyModel.from_json(doc),
     "adapter": lambda doc, ctx: ToyModel.from_json(doc),
     "tokenizer": _tokenizer,
@@ -137,47 +144,56 @@ _DECODERS = {
 }
 
 # Inputs decoded through the context's DecodeCache, each its own key space.
-_CACHED = ("model", "adapter", "tokenizer")
+# The transport attaches them as JSON text.
+CACHED_INPUTS = ("model", "adapter", "tokenizer")
 
 
 class DecodeCache:
-    """The last object decoded for each input name, kept with its document.
+    """The last object decoded for each input name, kept with its JSON text.
 
-    A document is compared as its marshal bytes, and a miss decodes
-    marshal.loads of those bytes. For a JSON value that is the document
-    itself: marshal keeps types exact, so a count of `true` or `1.0` never
-    finds the entry of a `1`. Any other object is decoded as what marshal
-    makes of it (a numpy scalar as bytes), so every document with one key
-    decodes alike, and a hit gives what a decode would. Only a document that
-    decoded without error replaces the entry, and the objects kept are never
-    written to (ToyModel columns are read-only). Documents that are equal
-    but share their objects differently encode differently, which costs a
-    miss, never a wrong hit. A context keeps at most one model, one adapter
-    and one tokenizer. Safe to share between threads; two threads that miss
-    on one document both decode it."""
+    A document arrives as its JSON text (UTF-8 bytes, as the transport
+    attaches it) or, in process, as a JSON value, whose key is its
+    `json_text`; that is the one key form. A hit is a byte comparison, and
+    a miss decodes json.loads of the key, so a hit gives what a decode
+    would: the no-wrong-hit property holds by construction. JSON text keeps
+    types exact, so a count of `true` or `1.0` never finds the entry of a
+    `1`. An in-process value decodes as the JSON it writes (a str subclass
+    as its string); one JSON cannot write (bytes, a numpy integer) is a
+    TypeError. Only a document that decoded without error replaces the
+    entry, and the objects kept are never written to (ToyModel columns are
+    read-only). Equal documents written in another key order or spacing
+    cost a miss, never a wrong hit. A context keeps at most one model, one
+    adapter and one tokenizer. Safe to share between threads; two threads
+    that miss on one document both decode it."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.last: dict[str, tuple[bytes, object]] = {}
 
     def get(self, space: str, doc, decode: Callable[[object], object]):
-        blob = marshal.dumps(doc)
+        key = doc if isinstance(doc, bytes) else json_text(doc)
         with self._lock:
             kept = self.last.get(space)
-        if kept is not None and kept[0] == blob:
+        if kept is not None and kept[0] == key:
             return kept[1]
-        value = decode(marshal.loads(blob))
+        value = decode(json.loads(key.decode("utf-8")))
         with self._lock:
-            self.last[space] = (blob, value)
+            self.last[space] = (key, value)
         return value
+
+
+def json_text(doc) -> bytes:
+    """A JSON value as the compact UTF-8 text that keys the decode cache and
+    travels as a request's attached model, adapter or tokenizer."""
+    return json.dumps(doc, separators=(",", ":")).encode()
 
 
 @dataclass
 class _Run:
     """One request being proved. Indexing returns an input decoded by its
     name's decoder, or None for an absent optional input; an input that does
-    not decode (a key missing, a value of the wrong type or out of range, an
-    object marshal cannot encode) is a SchemaError. `open` opens a staged
+    not decode (a key missing, a value of the wrong type or out of range,
+    text that is not UTF-8 JSON) is a SchemaError. `open` opens a staged
     dataset the way the request holds it, closed with `handles`."""
 
     request: AttestationRequest
@@ -191,11 +207,12 @@ class _Run:
         value = self.request.inputs[name]
         decode = _DECODERS.get(name, lambda value, ctx: value)
         try:
-            if name in _CACHED:
+            if name in CACHED_INPUTS:
                 return self.ctx.decode_cache.get(
                     name, value, lambda doc: decode(doc, self.ctx))
             return decode(value, self.ctx)
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
+                ValueError) as exc:
             raise SchemaError(f"bad {name}: {exc}") from exc
 
     def open(self, path: Optional[str]):
@@ -404,6 +421,8 @@ class AttestationResponse:
 
     @classmethod
     def from_json(cls, doc: dict) -> "AttestationResponse":
+        """The response a document describes. An output is base64 text, or
+        bytes as the transport attaches them (a JSON document holds none)."""
         try:
             outputs = doc["outputs"]
             token = doc["gpu_token"]
@@ -412,7 +431,8 @@ class AttestationResponse:
                 mset=MeasurementSet.from_json(doc["measurement_set"]),
                 outputs=None
                 if outputs is None
-                else {k: base64.b64decode(v) for k, v in outputs.items()},
+                else {k: v if isinstance(v, bytes) else base64.b64decode(v)
+                      for k, v in outputs.items()},
                 gpu_token=None if token is None else GpuToken.decode(base64.b64decode(token)),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -150,10 +150,11 @@ class ToyModel:
     each context's run of rows. A context may have no rows: the dict form
     `ToyModel(kind, {ctx: {}})` serialises its header, so the table keeps it.
     `counts` is the dict form, built when read. The columns are read-only,
-    so one model can serve many requests at once.
+    so one model can serve many requests at once, and its canonical bytes
+    are built once, when first asked for.
     """
 
-    __slots__ = ("kind", "contexts", "starts", "tokens", "freqs")
+    __slots__ = ("kind", "contexts", "starts", "tokens", "freqs", "_canonical")
 
     def __init__(self, kind: str, counts: Optional[dict[int, dict[int, int]]] = None):
         counts = counts or {}
@@ -242,6 +243,10 @@ class ToyModel:
         After the first five bytes everything is a little-endian u32 word:
         two per context header (id, entry count), then three per entry
         (token, low and high half of the count)."""
+        try:
+            return self._canonical
+        except AttributeError:
+            pass
         n_ctx, n = len(self.contexts), len(self.tokens)
         words = np.empty(2 * n_ctx + 3 * n, "<u4")
         header = np.zeros(len(words), bool)
@@ -253,7 +258,8 @@ class ToyModel:
         entries[:, 0] = self.tokens
         entries[:, 1:] = np.asarray(self.freqs, "<u8").view("<u4").reshape(n, 2)
         words[~header] = entries.reshape(-1)
-        return b"".join((bytes([_KIND_BYTE[self.kind]]), u32(n_ctx), words))
+        self._canonical = b"".join((bytes([_KIND_BYTE[self.kind]]), u32(n_ctx), words))
+        return self._canonical
 
     def to_json(self) -> dict:
         return {

@@ -1,14 +1,14 @@
 """The prover's decode cache, and frames that keep their key order.
 
-A context keeps the last model, adapter and tokenizer it decoded: a
-request that carries the same document again reuses the object. These
-tests pin what makes a hit sound (type-exact keys, only documents that
-decoded are kept, kept objects are never written to), that a context keeps
-one object per input name, and sharing between threads.
+A context keeps the last model, adapter and tokenizer it decoded, keyed by
+the document's JSON text: a request that carries the same text again
+reuses the object. These tests pin what makes a hit sound (type-exact
+keys, only documents that decoded are kept, kept objects are never written
+to), that a context keeps one object per input name, and sharing between
+threads.
 """
 
 import gc
-import marshal
 import os
 import socket
 import struct
@@ -24,9 +24,10 @@ from palm.attestation import Challenge
 from palm.dataset import write_dataset
 from palm.encoding import sha3_256
 from palm.errors import FormatError, SchemaError
-from palm.protocol import DecodeCache, Verifier, build_request, prover_handle
+from palm.protocol import DecodeCache, Verifier, build_request, json_text, prover_handle
 from palm.toyops import ToyModel, ToyTokenizer, train
 from palm.transport import recv_frame, request_over_tcp, send_frame, serve_background
+from reference import oracle_model_bytes
 
 
 @pytest.fixture
@@ -110,25 +111,43 @@ class TestFailures:
         assert ctx.decode_cache.get("model", bad, lambda doc: "not kept") == "not kept"
 
 
-class TestMarshalImage:
-    """A document is decoded as marshal reads it back, so objects that
-    marshal writes alike decode alike, and no non-JSON object that decodes
-    can leave an entry that a refused document would hit."""
+class TestTextKey:
+    """An in-process document is keyed by the JSON text it writes and decoded
+    as json.loads of that text, so a hit gives what a decode would, and an
+    object JSON cannot write leaves no entry."""
 
-    @pytest.mark.parametrize("kind", [np.str_("unigram"), "unigram".encode("utf-32-le")])
-    def test_numpy_string_is_read_as_the_bytes_marshal_writes(self, fixture, ctx, kind):
-        model = {"kind": kind, "counts": {"0": {"1": 3}}}
-        with pytest.raises(SchemaError, match=r"""^bad model: unknown model kind "b'u\\\\x00"""):
-            prover_handle(_inference(fixture, f"kind-{type(kind).__name__}", model), ctx)
+    def test_bytes_inside_a_document_are_a_schema_error(self, fixture, ctx):
+        model = {"kind": "unigram".encode("utf-32-le"), "counts": {"0": {"1": 3}}}
+        with pytest.raises(SchemaError, match=r"^bad model: Object of type bytes is not JSON"):
+            prover_handle(_inference(fixture, "kind-bytes", model), ctx)
         assert ctx.decode_cache.last == {}
 
-    def test_object_marshal_cannot_encode_is_a_schema_error(self, fixture, ctx):
-        class Kind(str):
-            pass
+    class Kind(str):
+        pass
 
-        model = {"kind": Kind("unigram"), "counts": {"0": {"1": 3}}}
-        with pytest.raises(SchemaError, match=r"^bad model: unmarshallable object"):
-            prover_handle(_inference(fixture, "str-subclass", model), ctx)
+    @pytest.mark.parametrize("kind", [np.str_("unigram"), Kind("unigram")],
+                             ids=["numpy", "subclass"])
+    def test_str_subclass_keys_and_decodes_as_its_string(self, fixture, ctx, kind):
+        model = {"kind": kind, "counts": {"0": {"1": 3}}}
+        plain = {"kind": "unigram", "counts": {"0": {"1": 3}}}
+        prover_handle(_inference(fixture, f"kind-{type(kind).__name__}", model), ctx)
+        kept = _kept(ctx, "model", plain)
+        assert type(kept.kind) is str and kept == ToyModel.from_json(plain)
+        assert ctx.decode_cache.last["model"][0] == json_text(plain)
+
+    def test_json_text_and_its_document_share_one_entry(self):
+        cache = DecodeCache()
+        doc = {"vocab": {"<unk>": 0, "a": 1}}
+        kept = cache.get("tokenizer", json_text(doc), ToyTokenizer.from_json)
+        assert cache.get("tokenizer", doc, lambda doc: "missed") is kept
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32"])
+    def test_text_other_than_utf8_is_a_schema_error(self, fixture, ctx, encoding):
+        model = json_text({"kind": "unigram", "counts": {"0": {"1": 3}}})
+        request = _inference(fixture, f"text-{encoding}", model.decode().encode(encoding))
+        with pytest.raises(SchemaError, match=r"^bad model: 'utf-8' codec can't decode"):
+            prover_handle(request, ctx)
+        assert ctx.decode_cache.last == {}
 
 
 class TestOneObjectPerName:
@@ -141,7 +160,7 @@ class TestOneObjectPerName:
         gc.collect()
         assert [ref() is not None for ref in decoded] == [False, False, False, True]
         assert list(cache.last) == ["tokenizer"]
-        assert cache.last["tokenizer"][0] == marshal.dumps(docs[-1])
+        assert cache.last["tokenizer"][0] == json_text(docs[-1])
 
     def test_finetune_keeps_its_model_and_a_different_adapter(self, fixture, ctx, monkeypatch):
         model = train("bigram", fixture.records, fixture.config, fixture.tokenizer).to_json()
@@ -267,6 +286,15 @@ class TestKeptModelIsNeverWritten:
                 assert not column.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             kept.freqs[0] = 0
+
+    def test_kept_model_builds_its_canonical_bytes_once(self, fixture, ctx):
+        model = train("bigram", fixture.records, fixture.config, fixture.tokenizer).to_json()
+        prover_handle(_inference(fixture, "once-1", model), ctx)
+        kept = _kept(ctx, "model", model)
+        first = kept.serialized_bytes()
+        prover_handle(_inference(fixture, "once-2", model), ctx)
+        assert _kept(ctx, "model", model).serialized_bytes() is first
+        assert first == oracle_model_bytes("bigram", ToyModel.from_json(model).counts)
 
 
 class TestServedSession:

@@ -486,6 +486,18 @@ class TestInputRanges:
         self._served(ctx, bad, r"^server error: SchemaError: bad train_config: seed -1 outside")
         assert calls == []
 
+    @pytest.mark.parametrize("arch", ["trigram", 7, ["bigram"]])
+    def test_unknown_arch_never_trains(self, fixture, ctx, monkeypatch, arch):
+        from palm import measurers
+
+        calls = []
+        monkeypatch.setattr(measurers, "train", lambda *a: calls.append(a))
+        req = fixture.make_request("unknown-arch")
+        bad = AttestationRequest(req.op, req.chal, dict(req.inputs, arch=arch), "inmem")
+        with pytest.raises(SchemaError, match=r"^bad arch: unknown model kind"):
+            prover_handle(bad, ctx)
+        assert calls == []
+
     def test_oversized_count_is_an_error_frame(self, fixture, ctx):
         model = {"kind": "unigram", "counts": {"0": {"1": 2**64}}}
         bad = build_request(
