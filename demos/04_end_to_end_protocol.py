@@ -75,7 +75,5 @@ def main() -> None:
         server.shutdown()
 
 
-# The server hashes mapped epochs in worker processes, which import this
-# script again as a module: the demo runs only when executed directly.
 if __name__ == "__main__":
     main()

@@ -17,17 +17,16 @@ equals the record-by-record one bit for bit. Anything that reads the state
 
 The same property lets the hashing leave the process. An accumulator built
 with an MshPool keeps an immutable copy of each record instead of its XOF
-output and ships every full batch to one of the pool's worker processes,
-which hashes the records with the same XOF, reduces them with the same sum
-and answers with the batch's l limbs; the accumulator adds the answers up
-when its state is read. A batch is one buffer plus the (offset, length)
-span of each record in it: records inserted one by one are joined into a
-buffer when their batch ships, while insert_spans ships a buffer the caller
-already holds as it is, such as a run of records read from a dataset file,
-and the worker hashes exactly the bytes at the spans it was given. The
-caller still decides which bytes are measured and when; only the
-arithmetic over those bytes runs elsewhere, on every usable core, and the
-digest is byte-identical to the in-process one.
+output and ships every full batch to a worker: a fresh interpreter that
+reads u32-framed batches on its stdin, hashes them with the same XOF and
+sum, and answers each with its l limbs on its stdout. A batch is one
+buffer plus the (offset, length) span of each record in it: records
+inserted one by one are joined into a buffer when their batch ships, while
+insert_spans ships a buffer the caller already holds as it is, such as a
+run of records read from a dataset file. The caller still decides which
+bytes are measured and when; only the arithmetic over exactly those bytes
+runs elsewhere, on every usable core, and the accumulator adds the answers
+into a digest byte-identical to the in-process one.
 
 An accumulator can also give a companion: the multiset hash of
 toyops.preproc_record over every record the accumulator takes from then
@@ -45,8 +44,10 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import select
 import signal
 import struct
+import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -78,11 +79,12 @@ STOP_TIMEOUT_S = 10.0
 # another thread may have read the replies it was waiting for.
 READY_TIMEOUT_S = 0.05
 
-# Request to a worker: u32 m, u32 record count, u32 fused (0 or 1), then
-# one u32 offset and one u32 length per record, then the buffer those spans
-# point into. The reply is the l summed limbs of the records, followed, when
-# fused, by the l summed limbs of their preproc_record outputs.
+# A request, framed like its reply by a u32 length: u32 m, u32 record count,
+# u32 fused (0 or 1), one u32 offset and one u32 length per record, then the
+# buffer those spans point into. The reply is the records' l summed limbs,
+# then, when fused, the l summed limbs of their preproc_record outputs.
 _BATCH_HEAD = struct.Struct("<III")
+_FRAME = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
@@ -364,19 +366,40 @@ def _hash_batch(request: bytes) -> bytes:
     )
 
 
-def _serve(conn, alive) -> None:
-    """Worker main loop: answer batches until an empty request or EOF. The
-    worker holds `alive` open and never writes it, so the pool reads its end
-    of that pipe as ready the moment the worker exits."""
+def _recv(stream) -> bytes:
+    """One u32-framed message from an unbuffered stream; EOFError if it ends."""
+    return _read(stream, _FRAME.unpack(_read(stream, _FRAME.size))[0])
+
+
+def _read(stream, size: int) -> bytes:
+    """Exactly size bytes from an unbuffered stream, through short reads."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = stream.read(size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return bytes(data)
+
+
+def _send(stream, payload: bytes) -> None:
+    """All of payload to an unbuffered stream, through short writes."""
+    view = memoryview(payload)
+    while view:
+        view = view[stream.write(view):]
+
+
+def _serve() -> None:
+    """Worker main loop: answer each framed request on stdin with a framed
+    reply on stdout until stdin ends."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the pool's owner decides when to stop
+    requests, replies = open(0, "rb", 0, closefd=False), open(1, "wb", 0, closefd=False)
     while True:
         try:
-            request = conn.recv_bytes()
+            reply = _hash_batch(_recv(requests))
         except EOFError:
             return
-        if not request:
-            return
-        conn.send_bytes(_hash_batch(request))
+        _send(replies, _FRAME.pack(len(reply)) + reply)
 
 
 class _Batch:
@@ -395,23 +418,24 @@ class _Batch:
 
 
 class _Worker:
-    """A worker process, its pipe, and the batches it has not answered yet,
-    in the order they were sent: a worker answers in order. `exited` reads as
-    ready once the process has exited: the kernel closes the worker's end
-    when it exits (the forkserver closes its copy right after the start),
-    while the process's sentinel only turns ready once the forkserver has
-    reaped it."""
+    """A worker process, its unbuffered stdin and stdout, and the batches it
+    has not answered yet, in the order they were sent: a worker answers in
+    order. Only the worker holds the write end of its stdout, so that reads
+    end of file the moment the worker exits, reaped or not."""
 
-    def __init__(self, context, index: int):
-        conn, child_conn = context.Pipe()
-        self.exited, alive = context.Pipe(duplex=False)
-        self.process = context.Process(
-            target=_serve, args=(child_conn, alive), name=f"palm-msh-{index}", daemon=True
+    def __init__(self, index: int):
+        # subprocess is imported on first use, so that a process that never
+        # hashes in a pool (a client, a verifier) does not pay for it.
+        import subprocess
+
+        # The worker imports the palm this process imported, wherever it is.
+        palm_parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        self.name = f"palm-msh-{index}"
+        self.process = subprocess.Popen(
+            [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+             "from palm.msh import _serve; _serve()", palm_parent],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
         )
-        self.process.start()
-        child_conn.close()
-        alive.close()
-        self.conn = conn
         self.unanswered: deque[_Batch] = deque()  # appended under the pool lock
         self.recv_lock = threading.Lock()  # one reader at a time; only readers pop
 
@@ -419,25 +443,22 @@ class _Worker:
 class MshPool:
     """Worker processes that hash record batches for pooled accumulators.
 
-    One worker per usable core, started on first use through a forkserver:
-    the pool is started from server handler threads, and forking a process
-    that runs threads is unsafe. Requests and replies are raw bytes over one
-    pipe per worker, and each batch goes to the worker holding the fewest,
-    so a worker that shares its core with the sender and runs slower is
-    given less, not waited for. At most IN_FLIGHT_PER_WORKER batches wait
-    on a worker; a thread that finds every worker at that cap waits for any
-    of them to answer and reads the oldest reply of each that did. Replies
-    are read by the threads that need them, a batch's owner or a blocked
-    sender, so no extra thread competes for the interpreter. A worker that
-    dies or answers out of protocol is noticed where a send to it or a read
-    from it fails: every batch it held fails with MshWorkerError, and the
-    next submit replaces it and any other worker that has exited meanwhile.
-    Safe to share between threads; close() stops the workers, and a later
+    One worker per usable core, started on first use as a fresh interpreter
+    that runs _serve; subprocess forks and execs at once, which is safe from
+    a server's handler threads. A worker reads u32-framed batches on its
+    stdin and answers on its stdout, which reads end of file once it is
+    gone. Each batch goes to the worker holding the fewest, so a worker that
+    shares its core with the sender and runs slower is given less, not
+    waited for. At most IN_FLIGHT_PER_WORKER batches wait on a worker; a
+    thread that finds every worker at that cap waits for any of them to
+    answer and reads the oldest reply of each that did. Replies are read by
+    the threads that need them, a batch's owner or a blocked sender, so no
+    extra thread competes for the interpreter. A worker that dies or answers
+    out of protocol is noticed where a send to it or a read from it fails:
+    every batch it held fails with MshWorkerError, and the next submit
+    replaces it and any other worker that has exited meanwhile. Safe to
+    share between threads; close() ends each worker's stdin, and a later
     submit starts new ones.
-
-    Like every forkserver or spawn child, a worker imports the program's
-    main module again, so a script that uses a pool must start it under
-    `if __name__ == "__main__":`.
     """
 
     def __init__(self):
@@ -460,9 +481,8 @@ class MshPool:
             lengths = np.fromiter(map(len, records), np.int64, len(records))
             spans = np.column_stack((np.cumsum(lengths) - lengths, lengths))
             records = b"".join(records)
-        payload = b"".join(
-            [_BATCH_HEAD.pack(params.m, len(spans), fused), spans.astype("<u4").tobytes(), records]
-        )
+        body = [_BATCH_HEAD.pack(params.m, len(spans), fused), spans.astype("<u4").tobytes(), records]
+        payload = b"".join([_FRAME.pack(sum(map(len, body))), *body])
         while True:
             with self._lock:
                 ended = self._top_up() if len(self._workers) < self.size else []
@@ -472,7 +492,7 @@ class MshPool:
                     batch = _Batch(worker, params.digest_bytes * (1 + fused))
                     worker.unanswered.append(batch)
                     try:
-                        worker.conn.send_bytes(payload)
+                        _send(worker.process.stdin, payload)
                     except OSError:
                         # The worker is gone: fail what it held (this batch
                         # too) and send the batch again, to a new worker.
@@ -482,7 +502,7 @@ class MshPool:
                 else:
                     # Every worker is at the cap. A worker's files stay
                     # open while the pool holds it.
-                    waits = {w: (w.conn.fileno(), w.process.sentinel) for w in self._workers}
+                    waits = {w: w.process.stdout.fileno() for w in self._workers}
             self._retire(ended)
             if batch is not None:
                 return batch
@@ -499,58 +519,45 @@ class MshPool:
 
     def _top_up(self) -> list[_Worker]:
         """Drop the workers that have exited, start new ones until there are
-        `size` of them, and return the dropped ones (holding the lock).
-        Called only when fewer than `size` workers are held: a dead worker is
-        dropped where a send to it or a read from it fails."""
-        # multiprocessing is imported on first use, so that a process that
-        # never hashes in a pool (a client, a verifier) does not pay for it.
-        import multiprocessing
-        from multiprocessing.connection import wait
-
-        ready = wait([w.exited for w in self._workers], timeout=0)
-        ended = [w for w in self._workers if w.exited in ready]
-        if ended:
-            self._workers = [w for w in self._workers if w not in ended]
-        if len(self._workers) < self.size:
-            context = multiprocessing.get_context("forkserver")
-            context.set_forkserver_preload(["__main__", __name__])
-            while len(self._workers) < self.size:
-                self._workers.append(_Worker(context, self._started))
-                self._started += 1
+        `size` of them, and return the dropped ones (holding the lock). Only
+        called short of `size`: a send or read that fails drops a worker."""
+        ended = [w for w in self._workers if w.process.poll() is not None]
+        self._workers = [w for w in self._workers if w not in ended]
+        while len(self._workers) < self.size:
+            self._workers.append(_Worker(self._started))
+            self._started += 1
         return ended
 
     def _retire(self, workers: list[_Worker]) -> None:
         """Reap dropped workers and fail what they held (not holding the lock)."""
         for worker in workers:
             with worker.recv_lock:
-                if not worker.conn.closed:
+                if not worker.process.stdout.closed:
                     self._lose(worker, None)
 
-    def _read_ready(self, waits: dict[_Worker, tuple[int, int]]) -> None:
+    def _read_ready(self, waits: dict[_Worker, int]) -> None:
         """Wait until some worker has answered or exited, then settle the
         oldest batch of each that has. The wait ends after READY_TIMEOUT_S
         in any case, since a batch's owner may read the replies first and
         leave nothing to wait for. A worker another thread retires
-        meanwhile reads as ready, and _read_one finds nothing to settle."""
-        from multiprocessing.connection import wait
-
-        ready = set(wait([fd for fds in waits.values() for fd in fds], READY_TIMEOUT_S))
-        for worker, fds in waits.items():
-            if ready.intersection(fds):
+        meanwhile reads as ready, and _read_one finds nothing to settle.
+        poll, unlike select, takes fds above FD_SETSIZE."""
+        poller = select.poll()
+        for fd in waits.values():
+            poller.register(fd, select.POLLIN)
+        ready = {fd for fd, _ in poller.poll(1000 * READY_TIMEOUT_S)}
+        for worker, fd in waits.items():
+            if fd in ready:
                 self._read_one(worker)
 
     def _read_one(self, worker: _Worker, until: Optional[_Batch] = None) -> None:
         """Settle the worker's oldest unanswered batch, unless there is none
         or `until` got settled while this thread waited for its turn."""
-        from multiprocessing.connection import wait
-
         with worker.recv_lock:
             if not worker.unanswered or (until is not None and until.done()):
                 return
             try:
-                if worker.conn not in wait([worker.conn, worker.process.sentinel]):
-                    raise EOFError
-                reply = worker.conn.recv_bytes()
+                reply = _recv(worker.process.stdout)
             except (EOFError, OSError):
                 self._lose(worker, None)
                 return
@@ -566,30 +573,29 @@ class MshPool:
         with self._lock:
             if worker in self._workers:
                 self._workers.remove(worker)
-        if worker.process.is_alive():
-            worker.process.kill()
-        worker.process.join()
-        error = MshWorkerError(
-            f"{worker.process.name} "
-            + (fault or f"exited with code {worker.process.exitcode}")
-            + f" holding {len(worker.unanswered)} batch(es)"
-        )
+        worker.process.kill()  # a no-op once it has exited
+        code = worker.process.wait()
+        fault = fault or f"exited with code {code}"
+        error = MshWorkerError(f"{worker.name} {fault} holding {len(worker.unanswered)} batch(es)")
         while worker.unanswered:
             worker.unanswered.popleft().error = error
-        worker.conn.close()
-        worker.exited.close()
+        worker.process.stdin.close()
+        worker.process.stdout.close()
 
     def close(self) -> None:
         """Stop every worker. A batch still unread fails with MshWorkerError."""
         with self._lock:
             workers, self._workers = self._workers, []
             for worker in workers:
+                worker.process.stdin.close()  # the worker reads end of file and returns
+        if workers:
+            import subprocess  # loaded already: it started the workers
+
+            for worker in workers:
                 try:
-                    worker.conn.send_bytes(b"")
-                except OSError:
-                    pass
-        for worker in workers:
-            worker.process.join(STOP_TIMEOUT_S)
+                    worker.process.wait(STOP_TIMEOUT_S)
+                except subprocess.TimeoutExpired:
+                    pass  # _retire kills it
         self._retire(workers)
 
     def __enter__(self) -> "MshPool":

@@ -225,9 +225,7 @@ class AttestationServer(socketserver.ThreadingTCPServer):
     The server owns an MshPool that hashes mapped epochs on every core. It
     proves with a copy of the given context that carries the pool, so the
     caller's context keeps the in-process path. The pool starts its workers
-    on the first mapped request; shutdown and server_close stop them. The
-    workers import the main module again, so a script that serves must do
-    so under `if __name__ == "__main__":`."""
+    on the first mapped request; shutdown and server_close stop them."""
 
     allow_reuse_address = True
     daemon_threads = True

@@ -1,4 +1,4 @@
-import multiprocessing
+import glob
 import random
 
 import pytest
@@ -53,11 +53,21 @@ def random_records(rng, n, lo=16, hi=96):
     return [rng.randbytes(rng.randint(lo, hi)) for _ in range(n)]
 
 
+def child_pids() -> set[int]:
+    """Pids of this process's running and unreaped children, whichever of
+    its threads started them."""
+    pids: set[int] = set()
+    for children in glob.glob("/proc/self/task/*/children"):
+        with open(children) as f:
+            pids.update(map(int, f.read().split()))
+    return pids
+
+
 @pytest.fixture(scope="session", autouse=True)
 def no_worker_outlives_the_session():
     """Every worker process a test or a server started must be stopped."""
     yield
-    assert multiprocessing.active_children() == []
+    assert child_pids() == set()
 
 
 @pytest.fixture(scope="session")

@@ -353,46 +353,34 @@ class TestPoolFaults:
             assert msh_of_records([b"a", b"b"], pool=pool) == msh_of_records([b"a", b"b"])
             assert not set(pool.pids()) & set(pids)
 
-    def test_workers_killed_before_the_forkserver_reaps_them_are_replaced(self):
-        """A killed worker is a zombie until the forkserver reaps it, and only
-        then does its process sentinel turn ready. The pool must not send
-        the next digest to it in that window: stopping the forkserver holds
-        the window open."""
-        import multiprocessing
+    def test_workers_killed_before_they_are_reaped_are_replaced(self):
+        """A killed worker is a zombie until the pool, its parent, reaps it.
+        The pool must not send the next digest to it in that window: the
+        workers are killed while they hold batches nobody reads, so nothing
+        reaps them before the next submit."""
         import os
         import signal
-        import threading
-        from multiprocessing import forkserver
+
+        from palm.errors import MshWorkerError
 
         with msh.MshPool() as pool:
             assert msh_of_records([b"warm"], pool=pool) == msh_of_records([b"warm"])
             pids = pool.pids()
-            server = forkserver._forkserver._forkserver_pid
-            # The forkserver reports a new process's pid before it closes its
-            # copies of that process's fds, so stopped too early it would
-            # still hold the last worker's exit pipe open. Once it has started
-            # one more process, it has closed them.
-            probe = multiprocessing.get_context("forkserver").Process(target=int)
-            probe.start()
-            probe.join()
             acc = MshAccumulator(pool=pool)
             with mock.patch.object(msh, "FLUSH_RECORDS", 2):
                 for pid in pids:  # each worker holds one unanswered batch
                     os.kill(pid, signal.SIGSTOP)
                 acc.insert_many([b"a", b"b", b"c", b"d"])
-            os.kill(server, signal.SIGSTOP)
-            resume = threading.Timer(0.3, os.kill, (server, signal.SIGCONT))
-            try:
-                for pid in pids:
-                    os.kill(pid, signal.SIGKILL)
-                for pid in pids:
-                    _wait_gone(pid)
-                resume.start()  # new workers need the forkserver
-                assert msh_of_records([b"a", b"b"], pool=pool) == msh_of_records([b"a", b"b"])
-            finally:
-                resume.cancel()
-                os.kill(server, signal.SIGCONT)
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            for pid in pids:
+                _wait_gone(pid)
+                with open(f"/proc/{pid}/stat") as f:
+                    assert f.read().rsplit(")", 1)[1].split()[0] == "Z"
+            assert msh_of_records([b"a", b"b"], pool=pool) == msh_of_records([b"a", b"b"])
             assert not set(pool.pids()) & set(pids)
+            with pytest.raises(MshWorkerError, match="exited with code -9"):
+                acc.finalize()
 
     def test_out_of_protocol_reply_fails_the_batch(self):
         from palm.errors import MshWorkerError
@@ -433,7 +421,7 @@ class TestPoolFaults:
             assert acc.finalize() == msh_of_records(records)
 
     def test_close_stops_every_worker(self):
-        import multiprocessing
+        import os
 
         pool = msh.MshPool()
         msh_of_records([b"z"], pool=pool)
@@ -441,7 +429,38 @@ class TestPoolFaults:
         assert len(pids) == pool.size
         pool.close()
         assert pool.pids() == []
-        assert not {p.pid for p in multiprocessing.active_children()} & set(pids)
+        for pid in pids:  # stopped and reaped
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_script_without_a_main_guard_runs_once(self, tmp_path):
+        """A worker is a fresh interpreter that imports palm.msh only, so a
+        script that hashes with a pool at top level, with no
+        `if __name__ == "__main__":` guard, runs once. The script finds palm
+        through sys.path alone, as tools and benchmark scripts do."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        log = tmp_path / "runs.log"
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent(f"""\
+            import sys
+            sys.path.insert(0, {os.path.dirname(os.path.dirname(msh.__file__))!r})
+            from palm.msh import MshPool, msh_of_records
+            with open({str(log)!r}, "a") as f:
+                f.write("ran\\n")
+            records = [b"r%d" % i for i in range(600)]
+            with MshPool() as pool:
+                print(msh_of_records(records, pool=pool) == msh_of_records(records))
+            """))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.split() == ["True"]
+        assert log.read_text().splitlines() == ["ran"]
 
 
 # --------------------------------------------------------------------------

@@ -753,8 +753,6 @@ class TestServerPool:
             server.server_close()
 
     def test_no_worker_outlives_server_close(self, fixture, ctx, staged):
-        import multiprocessing
-
         server = serve_background(("127.0.0.1", 0), ctx)
         try:
             request_over_tcp(server.endpoint, self._preprocessing("close"), timeout=30)
@@ -764,8 +762,7 @@ class TestServerPool:
             server.shutdown()
             server.server_close()
         assert server.msh_pool.pids() == []
-        assert not {p.pid for p in multiprocessing.active_children()} & set(pids)
-        for pid in pids:
+        for pid in pids:  # stopped and reaped
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 

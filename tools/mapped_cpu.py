@@ -9,13 +9,17 @@ For each request it prints the wall time, the CPU this process spent
 (`time.process_time`), and the CPU the pool's workers spent, read from
 `/proc/<pid>/stat` (user plus system time) for every pid in `pool.pids()`.
 The first request starts the workers, so its worker CPU includes their
-start; it is printed but left out of the medians on the last line. Linux
-only.
+start; it is printed but left out of the medians on the last line. After
+the first request it also prints how many processes run under this one
+(children, their children and so on, from `/proc/<pid>/task/*/children`)
+and their summed VmRSS from `/proc/<pid>/status`, next to this process's
+own. Linux only.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import random
 import statistics
@@ -63,6 +67,25 @@ def worker_cpu_s(pids: list[int]) -> float:
     return total * TICK_S
 
 
+def descendants(pid: int) -> list[int]:
+    """Every process under pid, whichever of its threads started it."""
+    found = []
+    for children in glob.glob(f"/proc/{pid}/task/*/children"):
+        with open(children) as f:
+            for child in map(int, f.read().split()):
+                found += [child, *descendants(child)]
+    return found
+
+
+def vm_rss_mb(pid: int) -> float:
+    """Resident set size of a live process (a zombie has none)."""
+    with open(f"/proc/{pid}/status") as f:
+        for line in f:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+    return 0.0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--requests", type=int, default=8)
@@ -89,6 +112,11 @@ def main() -> int:
             print(f"{i:7d}  {row[0]:7.0f}  {row[1]:13.0f}  {row[2]:13.0f}", flush=True)
             if i:
                 rows.append(row)
+            else:
+                under = descendants(os.getpid())
+                print(f"after request 0: {len(under)} processes under this one, "
+                      f"VmRSS {sum(map(vm_rss_mb, under)):.1f} MB summed "
+                      f"(this process {vm_rss_mb(os.getpid()):.1f} MB)", flush=True)
         if rows:
             medians = [statistics.median(column) for column in zip(*rows)]
             print("median   {:7.0f}  {:13.0f}  {:13.0f}".format(*medians))
