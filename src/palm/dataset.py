@@ -31,8 +31,7 @@ import hashlib
 import os
 import struct
 import threading
-from itertools import chain
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -73,28 +72,26 @@ def write_dataset(path: str | os.PathLike, records: Sequence[bytes]) -> None:
 def unpack_records(data: bytes) -> tuple[bytes, ...]:
     """Parse container bytes back into records, validating the full layout."""
     view = memoryview(data)
-    return tuple(
-        data[offset : offset + length]
-        for offset, length in record_spans(lambda offset: view[offset:], len(data))
-    )
+    spans = record_spans(lambda offset: view[offset:], len(data))
+    return tuple(data[start:end] for start, end in zip(spans[:, 0].tolist(), spans.sum(1).tolist()))
 
 
-def record_spans(read_at: Callable[[int], bytes], size: int) -> Iterator[tuple[int, int]]:
-    """Yield (offset, length) of each record in a container of `size` bytes.
+def record_spans(read_at: Callable[[int], bytes], size: int) -> np.ndarray:
+    """The (offset, length) of each record in a container of `size` bytes,
+    as an (n, 2) int64 array.
 
     read_at(offset) returns the container's bytes from offset on: all of
     them, or at least the first HEADER_LEN. Only the header and the length
     prefixes are looked at; the scan asks for more bytes when a length
-    prefix runs past what it holds. A layout fault raises FormatError when
-    the scan reaches it; trailing bytes are found only after the last span,
-    so a consumer must exhaust the iterator before it trusts anything it
-    built from the spans.
+    prefix runs past what it holds. A layout fault, trailing bytes
+    included, raises FormatError.
     """
     chunk = read_at(0) if size else b""
     if size < HEADER_LEN or len(chunk) < HEADER_LEN or chunk[: len(MAGIC)] != MAGIC:
         raise FormatError("bad magic")
     count = int.from_bytes(chunk[len(MAGIC) : HEADER_LEN], "little")
     base, pos = 0, HEADER_LEN  # chunk holds the bytes from offset base on
+    spans: list[int] = []  # offset, length, offset, ...
     for _ in range(count):
         if pos + 4 > size:
             raise FormatError("truncated record length")
@@ -106,10 +103,11 @@ def record_spans(read_at: Callable[[int], bytes], size: int) -> Iterator[tuple[i
         pos += 4
         if pos + length > size:
             raise FormatError("truncated record bytes")
-        yield pos, length
+        spans += (pos, length)
         pos += length
     if pos != size:
         raise FormatError(f"{size - pos} trailing bytes after last record")
+    return np.array(spans, np.int64).reshape(-1, 2)
 
 
 class InMemoryDataset:
@@ -146,10 +144,8 @@ class MappedDataset:
         self._file = open(self.path, "rb", buffering=0)
         self._fd = self._file.fileno()
         try:
-            spans = record_spans(lambda offset: os.pread(self._fd, SCAN_CHUNK, offset),
-                                 os.fstat(self._fd).st_size)
-            # One (offset, length) row per record.
-            self._spans = np.fromiter(chain.from_iterable(spans), np.int64).reshape(-1, 2)
+            self._spans = record_spans(lambda offset: os.pread(self._fd, SCAN_CHUNK, offset),
+                                       os.fstat(self._fd).st_size)
         except Exception:
             self._file.close()
             raise

@@ -15,15 +15,16 @@ Every operation on a dataset handle makes one pass over it (_one_pass), so
 a mapped dataset streams into the operation in one exactly-once epoch and
 no copy of it is built; Training's epochs scale the counts of that pass.
 The pass reads a mapped dataset in runs of consecutive records, each
-claimed, read and measured as one unit (MappedDataset.sample_run). A mapped
-handle opened with an MshPool has its epoch hashed by the pool's workers,
-which are shipped each run's read buffer: every record is still claimed and
-consumed here, once, and the bytes consumed are the bytes hashed. A mapped
-Preprocessing measures Dpre through a companion of the handle's accumulator
-(MshAccumulator.companion), fed the records the operation consumes. Pooled,
-the workers preprocess and hash each shipped record in the same batch as
-its D hash, so this process never runs preproc_record unless the run keeps
-Dpre; in process, the companion does both itself.
+claimed, read and measured as one unit (MappedDataset.sample_run): the
+run's read buffer is one batch of the handle's accumulator, hashed here or,
+for a handle opened with an MshPool, by the pool's workers. Either way
+every record is claimed and consumed here, once, and the bytes consumed are
+the bytes hashed. A mapped Preprocessing measures Dpre through a companion
+of the handle's accumulator (MshAccumulator.companion), fed the records the
+operation consumes: each batch hashes its records and their preprocessed
+forms together, so this process runs preproc_record for the measurement
+only where the batch is hashed, and for the payload only when the run
+keeps Dpre.
 """
 
 from __future__ import annotations
@@ -106,6 +107,8 @@ class LabeledMeasurement:
     data: bytes
 
     def __post_init__(self):
+        if not (isinstance(self.label, str) and self.label.isascii()):
+            raise ValueError(f"label {self.label!r} is not ASCII text")
         if not self.data:
             raise ValueError(f"empty measurement bytes for {self.label!r}")
 
@@ -303,27 +306,29 @@ def measure_attribute_distribution(ds: Dataset, gpu: Optional[GpuToken] = None) 
     return Measured(hist, mset, lambda: {"h(Adist)": ser})
 
 
-def measure_binding(path: str | os.PathLike) -> Measured:
+def measure_binding(path: str | os.PathLike, gpu: Optional[GpuToken] = None) -> Measured:
     """One read of the file, two digests of the same bytes: the whole-file
     plain hash and the multiset hash of the records it holds, so the file
-    cannot change between them. The records are hashed from views into the
-    read bytes, so the peak is the file itself; a layout fault raises the
-    same FormatError a mapped handle would. The single output entry ties
-    the two digests together."""
+    cannot change between them. The records are folded from the read bytes
+    as batches of msh.FLUSH_RECORDS spans, so the peak is the file plus one
+    batch; a layout fault raises the same FormatError a mapped handle
+    would. The single output entry ties the two digests together, and a GPU
+    token, when there is one, is quoted like any operation's."""
     with open(path, "rb") as f:
         data = f.read()
     view = memoryview(data)
+    spans = record_spans(lambda offset: view[offset:], len(data))
     acc = MshAccumulator()
-    for offset, length in record_spans(lambda offset: view[offset:], len(data)):
-        acc.insert(view[offset : offset + length])
+    for start in range(0, len(spans), msh.FLUSH_RECORDS):
+        acc.insert_spans(data, spans[start : start + msh.FLUSH_RECORDS])
     plain = sha3_256(data)
-    msh = acc.finalize().encode()
+    multiset = acc.finalize().encode()
     mset = MeasurementSet(
         OperationId("MeasurementBinding"),
-        (),
-        (LabeledMeasurement(BINDING_LABEL, sha3_256(plain + msh)),),
+        _with_gpu([], gpu),
+        (LabeledMeasurement(BINDING_LABEL, sha3_256(plain + multiset)),),
     )
-    return Measured((plain, msh), mset, lambda: {"h(D)": plain, "MSH(D)": msh})
+    return Measured((plain, multiset), mset, lambda: {"h(D)": plain, "MSH(D)": multiset})
 
 
 def measure_training(

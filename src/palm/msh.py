@@ -6,37 +6,33 @@ sum of those vectors mod n. Insertion order is irrelevant, multiplicities
 matter, and accumulators built over disjoint partitions of a multiset can
 be merged into the accumulator of the union.
 
-An accumulator computes each record's XOF output when the record is
-inserted, over exactly the bytes it was given, but adds the outputs up in
-batches: FLUSH_RECORDS outputs are joined into one (records x l) limb
-matrix and reduced with a single numpy sum in the limb dtype, whose native
-wraparound is exactly the mod-2^n_log2 reduction the construction needs.
-Addition mod 2^n_log2 is associative and commutative, so the batched sum
-equals the record-by-record one bit for bit. Anything that reads the state
-(finalize, merge, limbs) flushes the pending batch first.
-
-The same property lets the hashing leave the process. An accumulator built
-with an MshPool keeps an immutable copy of each record instead of its XOF
-output and ships every full batch to a worker: a fresh interpreter that
-reads u32-framed batches on its stdin, hashes them with the same XOF and
-sum, and answers each with its l limbs on its stdout. A batch is one
-buffer plus the (offset, length) span of each record in it: records
-inserted one by one are joined into a buffer when their batch ships, while
-insert_spans ships a buffer the caller already holds as it is, such as a
-run of records read from a dataset file. The caller still decides which
-bytes are measured and when; only the arithmetic over exactly those bytes
-runs elsewhere, on every usable core, and the accumulator adds the answers
-into a digest byte-identical to the in-process one.
+An accumulator folds records in batches. A batch is one buffer plus the
+(offset, length) span of each record in it: records inserted one by one
+are joined into a buffer once FLUSH_RECORDS of them are pending, while
+insert_spans folds a buffer the caller already holds as it is, such as a
+run of records read from a dataset file. One function, _hash_spans, turns
+a batch into its l summed limbs: each record's XOF output over exactly
+its bytes, joined into one (records x l) limb matrix and reduced with a
+single numpy sum in the limb dtype, whose native wraparound is exactly
+the mod-2^n_log2 reduction the construction needs. Addition mod 2^n_log2
+is associative and commutative, so the batched sum equals the
+record-by-record one bit for bit, and so the batches can be hashed
+anywhere: an accumulator without a pool calls _hash_spans in process, and
+one built with an MshPool ships each batch to a worker, a fresh
+interpreter that reads u32-framed batches on its stdin and answers each
+with _hash_spans on its stdout. Where it runs is the only difference. The
+caller still decides which bytes are measured and when, and the digest is
+byte-identical either way. Anything that reads the state (finalize,
+merge, limbs) folds the pending batch and waits for every shipped one.
 
 An accumulator can also give a companion: the multiset hash of
 toyops.preproc_record over every record the accumulator takes from then
-on, which is MSH(Dpre) for a Preprocessing pass over a mapped D. Pooled,
-each batch goes to a worker once, flagged as fused in its header; the
-worker hashes the records and their preprocessed forms and answers 2*l
-limbs, the second l of which go to the companion. In process the
-companion preprocesses and hashes each record it is given itself. Either
-way the companion is fed the records the operation consumed, and reading
-it fails closed unless they are exactly as many as its source took.
+on, which is MSH(Dpre) for a Preprocessing pass over a mapped D. Each
+batch the accumulator folds from then on is fused: _hash_spans also
+hashes the records' preprocessed forms and answers 2*l limbs, the second
+l of which go to the companion. The companion is fed the records the
+operation consumed, but only counts them; reading it fails closed unless
+they are exactly as many as its source took.
 """
 
 from __future__ import annotations
@@ -64,8 +60,8 @@ HASH_DOMAIN = b"PALM-MSH-v1\x00"
 
 _DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
 
-# XOF outputs held back before one batched reduction: 128 KiB at m = 4096.
-# A pooled accumulator ships records to a worker in batches of the same size.
+# Records inserted one by one that make up a batch; their XOF outputs are
+# 128 KiB at m = 4096.
 FLUSH_RECORDS = 256
 
 # Batches a pool lets wait on each worker, so memory stays bounded by the
@@ -133,10 +129,23 @@ def _xof(record: bytes, n_bytes: int) -> bytes:
     return hashlib.shake_256(HASH_DOMAIN + record).digest(n_bytes)
 
 
-def _batch_sum(xofs: bytes, params: MshParams) -> np.ndarray:
-    """Sum a (records x l) matrix of joined XOF outputs into l limbs mod 2^n_log2."""
-    batch = np.frombuffer(xofs, dtype=params.dtype).reshape(-1, params.l)
-    return batch.sum(axis=0, dtype=params.dtype)
+def _hash_spans(buffer: bytes, spans: np.ndarray, params: MshParams, fused: bool) -> bytes:
+    """The one batch hash: the l summed limbs of the records `buffer` holds
+    at `spans`, one (offset, length) row per record, then, for a fused
+    batch, the l summed limbs of their preproc_record outputs. The XOF
+    outputs of each stream are joined into one (records x l) limb matrix
+    and reduced with one numpy sum in the limb dtype, whose wraparound is
+    the mod-2^n_log2 reduction."""
+    n_bytes = params.digest_bytes
+    starts = spans[:, 0]
+    ends = starts + spans[:, 1]
+    records = [buffer[start:end] for start, end in zip(starts.tolist(), ends.tolist())]
+    streams = (records, map(preproc_record, records)) if fused else (records,)
+    return b"".join(
+        np.frombuffer(b"".join([_xof(record, n_bytes) for record in stream]), params.dtype)
+        .reshape(-1, params.l).sum(axis=0, dtype=params.dtype).tobytes()
+        for stream in streams
+    )
 
 
 def hash_record(record: bytes, params: MshParams = DEFAULT_PARAMS) -> tuple[int, ...]:
@@ -169,33 +178,28 @@ class MshDigest:
 class MshAccumulator:
     """Running multiset hash; single-writer, mergeable with other accumulators.
 
-    Without a pool every record is hashed in this process when it is
-    inserted. With a pool, inserted records are hashed by the pool's
-    workers, batch by batch; reading the state waits for every batch."""
+    Records are folded in batches, and _hash_spans hashes every batch: in
+    this process without a pool, in a pool's worker with one. Reading the
+    state (finalize, merge, limbs) folds the pending batch and, pooled,
+    waits for every batch shipped."""
 
-    __slots__ = (
-        "params", "_limbs", "_pending", "_xof_bytes", "_pool", "_shipped", "_companion", "count"
-    )
+    __slots__ = ("params", "_limbs", "_pending", "_pool", "_shipped", "_companion", "count")
 
     def __init__(self, params: MshParams = DEFAULT_PARAMS, pool: Optional["MshPool"] = None):
         self.params = params
         self._limbs = np.zeros(params.l, dtype=params.dtype)
-        self._pending: list[bytes] = []  # XOF outputs, or records when pooled
-        self._xof_bytes = params.digest_bytes
+        self._pending: list[bytes] = []  # records inserted since the last batch
         self._pool = pool
         self._shipped: deque[_Batch] = deque()
-        self._companion: Optional[_Preprocessed] = None  # fed by fused batches when pooled
+        self._companion: Optional[_Preprocessed] = None  # fed by fused batches
         self.count = 0
 
     def insert(self, record: bytes) -> "MshAccumulator":
         """Fold one record in; componentwise add of its limb vector mod 2^n_log2.
 
-        In process, the record is hashed now and the addition joins the
-        pending batch. Pooled, an immutable copy of the record joins it."""
-        if self._pool is None:
-            self._pending.append(_xof(record, self._xof_bytes))
-        else:
-            self._pending.append(bytes(record))
+        An immutable copy of the record joins the pending batch, which is
+        folded once it holds FLUSH_RECORDS records."""
+        self._pending.append(bytes(record))
         self.count += 1
         if len(self._pending) >= FLUSH_RECORDS:
             self._ship()
@@ -203,39 +207,36 @@ class MshAccumulator:
 
     def insert_spans(self, buffer: bytes, spans: np.ndarray) -> "MshAccumulator":
         """Fold in the records `buffer` holds at `spans`, one (offset, length)
-        row per record, as one batch.
-
-        In process, each record is inserted as a view into the buffer.
-        Pooled, the buffer itself is shipped with the spans, after whatever
-        insert left pending; the caller must not change the buffer."""
-        if self._pool is None:
-            view = memoryview(buffer)
-            for offset, length in spans.tolist():
-                self.insert(view[offset : offset + length])
-            return self
+        row per record, as one batch, after whatever insert left pending.
+        Pooled, the buffer itself is shipped; the caller must not change it."""
         self._ship()
-        self._submit(buffer, spans)
+        self._fold(buffer, spans)
         self.count += len(spans)
         return self
 
     def _ship(self) -> None:
-        """Hand the pending batch on: reduce it here, or send it to the pool."""
+        """Fold the pending records as one batch: joined into one buffer,
+        with the span of each."""
         if not self._pending:
             return
-        if self._pool is None:
-            self._limbs += _batch_sum(b"".join(self._pending), self.params)
-        else:
-            self._submit(self._pending)
+        lengths = np.fromiter(map(len, self._pending), np.int64, len(self._pending))
+        spans = np.column_stack((np.cumsum(lengths) - lengths, lengths))
+        self._fold(b"".join(self._pending), spans)
         self._pending.clear()
 
-    def _submit(self, records, spans: Optional[np.ndarray] = None) -> None:
+    def _fold(self, buffer: bytes, spans: np.ndarray) -> None:
+        """Add a batch's sums here, or ship it to the pool and add the sums
+        of every shipped batch already answered, in order."""
         fused = self._companion is not None
-        self._shipped.append(self._pool.submit(self.params, records, fused, spans))
+        if self._pool is None:
+            self._add(_hash_spans(buffer, spans, self.params, fused))
+            return
+        self._shipped.append(self._pool.submit(self.params, buffer, spans, fused))
         while self._shipped and self._shipped[0].done():
-            self._add(self._shipped.popleft())
+            self._add(self._pool.result(self._shipped.popleft()))
 
-    def _add(self, batch: "_Batch") -> None:
-        sums = np.frombuffer(self._pool.result(batch), dtype=self.params.dtype)
+    def _add(self, sums: bytes) -> None:
+        sums = np.frombuffer(sums, dtype=self.params.dtype)
         self._limbs += sums[: self.params.l]
         if len(sums) > self.params.l:  # a fused batch
             self._companion._limbs += sums[self.params.l :]
@@ -244,7 +245,7 @@ class MshAccumulator:
         """Bring the state up to date with every record inserted so far."""
         self._ship()
         while self._shipped:
-            self._add(self._shipped.popleft())
+            self._add(self._pool.result(self._shipped.popleft()))
 
     def insert_many(self, records: Iterable[bytes]) -> "MshAccumulator":
         for record in records:
@@ -281,9 +282,9 @@ class MshAccumulator:
         """An accumulator over preproc_record(r) for each record r this one
         takes from now on; insert each such r into it once.
 
-        Pooled, the batches this accumulator ships from now on are fused, so
-        the companion's arithmetic rides on them and its insert only counts;
-        records inserted before now are shipped unfused first."""
+        The batches this accumulator folds from now on are fused, so the
+        companion's arithmetic rides on them and its insert only counts;
+        records inserted before now are folded unfused first."""
         if self._companion is not None:
             raise ValueError("an accumulator has at most one companion")
         self._ship()
@@ -295,35 +296,28 @@ class _Preprocessed(MshAccumulator):
     """The companion an accumulator gives: MSH over preproc_record of the
     records its source takes after it was made.
 
-    In process it preprocesses and hashes each record it is given. Pooled,
-    the source's workers hash the preprocessed records and add their sums
-    here, and insert and insert_many only count the records consumed.
-    Reading the state flushes the source first, then raises ParamsMismatch
-    unless the companion was given exactly as many records as its source
-    took."""
+    The source's fused batches carry the sums, so insert and insert_many
+    only count the records consumed. Reading the state flushes the source,
+    then raises ParamsMismatch unless the companion was given exactly as
+    many records as its source took."""
 
     __slots__ = ("_source", "_base")
 
     def __init__(self, source: MshAccumulator):
-        super().__init__(source.params, source._pool)
+        super().__init__(source.params)
         self._source = source
         self._base = source.count
 
     def insert(self, record: bytes) -> "MshAccumulator":
-        if self._pool is None:
-            return super().insert(preproc_record(record))
         self.count += 1
         return self
 
     def insert_many(self, records: Iterable[bytes]) -> "MshAccumulator":
-        if self._pool is None:
-            return super().insert_many(records)
         self.count += sum(1 for _ in records)
         return self
 
     def _flush(self) -> None:
         self._source._flush()
-        super()._flush()
         taken = self._source.count - self._base
         if self.count != taken:
             raise ParamsMismatch(f"{self.count} records preprocessed of the {taken} taken")
@@ -347,23 +341,15 @@ def msh_of_records(
 
 
 def _hash_batch(request: bytes) -> bytes:
-    """Worker side: the l summed limbs of one request's records, then, for a
-    fused request, the l summed limbs of their preproc_record outputs."""
+    """Worker side: _hash_spans of one request, once its spans are checked
+    to lie within it."""
     m, count, fused = _BATCH_HEAD.unpack_from(request)
-    params = MshParams(m)
-    base = _BATCH_HEAD.size + 8 * count
-    spans = np.frombuffer(request, "<u4", 2 * count, _BATCH_HEAD.size).reshape(-1, 2)
-    starts = spans[:, 0].astype(np.int64) + base
-    ends = starts + spans[:, 1]
+    base = _BATCH_HEAD.size + 8 * count  # where the buffer starts
+    spans = np.frombuffer(request, "<u4", 2 * count, _BATCH_HEAD.size).reshape(-1, 2) + (base, 0)
+    ends = spans.sum(axis=1)
     if count and ends.max() > len(request):
         raise ValueError(f"batch of {len(request)} bytes declares a span to {ends.max()}")
-    n_bytes = params.digest_bytes
-    records = [request[start:end] for start, end in zip(starts.tolist(), ends.tolist())]
-    streams = (records, map(preproc_record, records)) if fused else (records,)
-    return b"".join(
-        _batch_sum(b"".join([_xof(record, n_bytes) for record in stream]), params).tobytes()
-        for stream in streams
-    )
+    return _hash_spans(request, spans, MshParams(m), fused)
 
 
 def _recv(stream) -> bytes:
@@ -471,17 +457,11 @@ class MshPool:
         with self._lock:
             return [w.process.pid for w in self._workers]
 
-    def submit(self, params: MshParams, records, fused: bool = False,
-               spans: Optional[np.ndarray] = None) -> _Batch:
-        """Ship one batch: a list of records or, given spans, the records the
-        buffer `records` holds at those (offset, length) rows. result() gives
-        its summed limbs, and for a fused batch then the summed limbs of the
-        preprocessed records."""
-        if spans is None:
-            lengths = np.fromiter(map(len, records), np.int64, len(records))
-            spans = np.column_stack((np.cumsum(lengths) - lengths, lengths))
-            records = b"".join(records)
-        body = [_BATCH_HEAD.pack(params.m, len(spans), fused), spans.astype("<u4").tobytes(), records]
+    def submit(self, params: MshParams, buffer: bytes, spans: np.ndarray,
+               fused: bool) -> _Batch:
+        """Ship one batch: the records `buffer` holds at `spans`, one (offset,
+        length) row per record. result() gives its _hash_spans reply."""
+        body = [_BATCH_HEAD.pack(params.m, len(spans), fused), spans.astype("<u4").tobytes(), buffer]
         payload = b"".join([_FRAME.pack(sum(map(len, body))), *body])
         while True:
             with self._lock:

@@ -241,7 +241,7 @@ OPS = {spec.name: spec for spec in (
         r.open(r["dataset"]), r.gpu, keep_output=not r.request.confidential)),
     OpSpec("AttributeDistribution", ("dataset",), lambda r: measure_attribute_distribution(
         r.open(r["dataset"]), r.gpu)),
-    OpSpec("MeasurementBinding", ("dataset",), lambda r: measure_binding(r["dataset"])),
+    OpSpec("MeasurementBinding", ("dataset",), lambda r: measure_binding(r["dataset"], r.gpu)),
     OpSpec("Training", ("arch", "dataset", "train_config", "tokenizer"),
            lambda r: measure_training(r["arch"], r.open(r["dataset"]), r["train_config"],
                                       r["tokenizer"], r.gpu)),
@@ -280,6 +280,8 @@ class AttestationRequest:
         spec = OPS[self.op.name]  # OperationId admits only the eight operations
         if self.mode not in MODES:
             raise SchemaError(f"unknown mode {self.mode!r}")
+        if not (isinstance(self.want_gpu, bool) and isinstance(self.confidential, bool)):
+            raise SchemaError("want_gpu and confidential must each be true or false")
         missing = set(spec.required) - self.inputs.keys()
         unknown = self.inputs.keys() - {*spec.required, *spec.optional}
         if missing:
@@ -318,8 +320,8 @@ class AttestationRequest:
                 chal=Challenge.decode(bytes.fromhex(doc["chal"])),
                 inputs=dict(doc["inputs"]),
                 mode=doc["mode"],
-                want_gpu=bool(doc["want_gpu"]),
-                confidential=bool(doc["confidential"]),
+                want_gpu=doc["want_gpu"],
+                confidential=doc["confidential"],
             )
         except (KeyError, TypeError, ValueError, FormatError) as exc:
             raise SchemaError(f"bad request document: {exc}") from exc
@@ -353,11 +355,11 @@ class TdContext:
     an attesting accelerator. mapped_opener(path, pool) opens a mapped
     dataset; it exists so harnesses can hand the measurers a fault-injecting
     handle. msh_pool, when set, is given to every mapped handle opened, so
-    its epoch is hashed in worker processes; the pool's owner (a serving
-    AttestationServer) stops it. Without one, everything runs in this
-    process. decode_cache holds the last model, adapter and tokenizer decoded
-    for this context's requests; every context, a copy too, starts with an
-    empty one."""
+    the batches of its epoch are hashed in worker processes instead of in
+    this process, by the same function; the pool's owner (a serving
+    AttestationServer) stops it. decode_cache holds the last model, adapter
+    and tokenizer decoded for this context's requests; every context, a copy
+    too, starts with an empty one."""
 
     image_bytes: bytes
     h_td: bytes
@@ -400,12 +402,24 @@ class TdContext:
         return "gpu-" + self.gpu_key.public_key().public_bytes_raw().hex()[:8]
 
 
+def _b64(text: str) -> bytes:
+    """The bytes canonical base64 text encodes (RFC 4648 §3.5); data after
+    the padding, non-zero pad bits or a character outside the alphabet is a
+    ValueError."""
+    data = base64.b64decode(text, validate=True)
+    if base64.b64encode(data).decode("ascii") != text:
+        raise ValueError("base64 text is not canonical")
+    return data
+
+
 @dataclass(frozen=True)
 class AttestationResponse:
+    """The quote, the measurement set it binds (a GPU token, when there is
+    one, is its GPU_att entry), and the outputs."""
+
     quote: bytes
     mset: MeasurementSet
     outputs: Optional[dict[str, bytes]]  # None when the run was confidential
-    gpu_token: Optional[GpuToken] = None
 
     def to_json(self) -> dict:
         return {
@@ -414,26 +428,23 @@ class AttestationResponse:
             "outputs": None
             if self.outputs is None
             else {k: base64.b64encode(v).decode("ascii") for k, v in self.outputs.items()},
-            "gpu_token": None
-            if self.gpu_token is None
-            else base64.b64encode(self.gpu_token.encode()).decode("ascii"),
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "AttestationResponse":
-        """The response a document describes. An output is base64 text, or
-        bytes as the transport attaches them (a JSON document holds none)."""
+        """The response a document describes. An output is canonical base64
+        text, or bytes as the transport attaches them (a JSON document holds
+        none)."""
         try:
             outputs = doc["outputs"]
-            token = doc["gpu_token"]
+            if not isinstance(outputs, (dict, type(None))):
+                raise TypeError(f"outputs must be an object, not {type(outputs).__name__}")
             return cls(
-                quote=base64.b64decode(doc["quote"]),
+                quote=_b64(doc["quote"]),
                 mset=MeasurementSet.from_json(doc["measurement_set"]),
                 outputs=None
                 if outputs is None
-                else {k: v if isinstance(v, bytes) else base64.b64decode(v)
-                      for k, v in outputs.items()},
-                gpu_token=None if token is None else GpuToken.decode(base64.b64decode(token)),
+                else {k: v if isinstance(v, bytes) else _b64(v) for k, v in outputs.items()},
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad response document: {exc}") from exc
@@ -464,7 +475,6 @@ def prover_handle(request: AttestationRequest, ctx: TdContext) -> AttestationRes
         quote=quote.encode(),
         mset=measured.mset,
         outputs=None if request.confidential else dict(measured.outputs),
-        gpu_token=gpu,
     )
 
 
@@ -576,23 +586,16 @@ class Verifier:
         return "module measurement accepted"
 
     def _check_gpu(self, ev: _Evidence) -> str:
-        response, request = ev.response, ev.request
-        mset_entry = next(
-            (e for e in response.mset.h_i if e.label == GPU_LABEL), None
-        )
-        token = response.gpu_token
-        if token is None and mset_entry is not None:
-            try:
-                token = GpuToken.decode(mset_entry.data)
-            except FormatError:
-                raise _Fail("GpuEvidenceInvalid", "measurement-set GPU entry does not parse")
-        if token is None:
-            if request.want_gpu:
+        entry = next((e for e in ev.response.mset.h_i if e.label == GPU_LABEL), None)
+        if entry is None:
+            if ev.request.want_gpu:
                 raise _Fail("GpuEvidenceMissing", "request declared GPU but no token returned")
             return "no GPU evidence declared or supplied"
-        if mset_entry is not None and mset_entry.data != token.encode():
-            raise _Fail("GpuEvidenceInvalid", "token differs from quoted measurement entry")
-        if token.nonce != request.chal.digest():
+        try:
+            token = GpuToken.decode(entry.data)
+        except FormatError:
+            raise _Fail("GpuEvidenceInvalid", "measurement-set GPU entry does not parse")
+        if token.nonce != ev.request.chal.digest():
             raise _Fail("GpuEvidenceInvalid", "token nonce does not bind this challenge")
         if not any(verify_gpu_token(token, pk) for pk in self.refstore.gpu_public_keys()):
             raise _Fail("GpuEvidenceInvalid", "token signature verifies under no registered key")

@@ -80,9 +80,9 @@ FROZEN_SHA256 = {
     # stdout of `palm --json adversary all`
     "adversary_all_json": "138b4f42f2f42b8d2f0c89a4ce21022b3a76e838b8bca5dbad0980770882bf6c",
     # canonical_bytes() of every build_env response, in request order
-    "pipeline_responses": "744210adc77b403ec9f9cbf731448e7b7413c7ecad976f362101ccc462ef71a1",
+    "pipeline_responses": "e0536e97f59731b756b465de6437a71b65da84be40120e244f9617a77fdf4138",
     # the same for the dataset operations in mapped mode (remapped)
-    "pipeline_responses_mapped": "a1b900f3a987b603f2961b6a7e272957374dc40f1ca21b52528a723992def69c",
+    "pipeline_responses_mapped": "f5758ceb5c2b1d101f9049b0434a01bc0ba9fc6788b4c9aa244343e558219ba9",
 }
 
 
@@ -391,9 +391,7 @@ def test_6_binding_resolution_once_and_only_once(tmp_path):
     bind_response = prover_handle(bind_req, env.ctx)
     tampered_outputs = dict(bind_response.outputs)
     tampered_outputs["MSH(D)"] = tampered_outputs["MSH(D)"][:-1] + b"\x00"
-    bad = AttestationResponse(
-        bind_response.quote, bind_response.mset, tampered_outputs, bind_response.gpu_token
-    )
+    bad = AttestationResponse(bind_response.quote, bind_response.mset, tampered_outputs)
     bad_verdict = verifier.register_binding(bad, bind_req)
     assert not bad_verdict.accepted
     assert env.store.bindings == []

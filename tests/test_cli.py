@@ -128,6 +128,22 @@ class TestRequestVerify:
         assert code == 1
         assert json.loads(out)["reason"] == "SignatureInvalid"
 
+    @pytest.mark.parametrize("label", [7, "é"], ids=repr)
+    def test_hostile_label_exits_2(self, staged_dataset, server, tmp_path, capsys, label):
+        bundle = tmp_path / "bundle.json"
+        run(
+            capsys,
+            "request", "--endpoint", server, "--op", "Preprocessing",
+            "--dataset", "corpus.palmds", "--chal", "nonce:" + "33" * 32,
+            "--out", str(bundle),
+        )
+        doc = json.loads(bundle.read_text())
+        doc["response"]["measurement_set"]["h_i"][0]["label"] = label
+        bundle.write_text(json.dumps(doc))
+        code = cli.main(["verify", str(bundle)])
+        assert code == 2
+        assert "is not ASCII text" in capsys.readouterr().err
+
     def test_mapped_mode_and_stdout_bundle(self, staged_dataset, server, capsys):
         code, out = run(
             capsys,

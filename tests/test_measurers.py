@@ -105,16 +105,21 @@ class TestAttributeDistribution:
 
 
 class TestBinding:
-    def test_ties_both_digests(self, dataset_path, corpus):
-        m = measure_binding(dataset_path)
-        with open(dataset_path, "rb") as f:
-            plain = hashlib.sha3_256(f.read()).digest()
-        limbs, count = oracle_msh(corpus)
-        msh = oracle_encode(limbs, count)
-        assert m.outputs == {"h(D)": plain, "MSH(D)": msh}
-        assert m.mset.h_i == ()
-        assert labels(m.mset.h_o) == ["h(h(D)||MSH(D))"]
-        assert m.mset.h_o[0].data == sha3_256(plain + msh)
+    def test_ties_both_digests(self, dataset_path, corpus, tmp_path):
+        # The second input folds seven span batches of three plus one of two.
+        short = tmp_path / "short.palmds"
+        write_dataset(short, corpus[:-1])
+        for path, records, flush in ((dataset_path, corpus, msh.FLUSH_RECORDS),
+                                     (short, corpus[:-1], 3)):
+            with mock.patch.object(msh, "FLUSH_RECORDS", flush):
+                m = measure_binding(path)
+            with open(path, "rb") as f:
+                plain = hashlib.sha3_256(f.read()).digest()
+            multiset = oracle_encode(*oracle_msh(records))
+            assert m.outputs == {"h(D)": plain, "MSH(D)": multiset}
+            assert m.mset.h_i == ()
+            assert labels(m.mset.h_o) == ["h(h(D)||MSH(D))"]
+            assert m.mset.h_o[0].data == sha3_256(plain + multiset)
 
     @pytest.mark.parametrize(
         "cut, message",

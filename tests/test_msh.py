@@ -2,6 +2,7 @@
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -386,7 +387,7 @@ class TestPoolFaults:
         from palm.errors import MshWorkerError
 
         with msh.MshPool() as pool:
-            batch = pool.submit(LEGAL_PARAMS[0], [b"x"])  # answers 8 bytes
+            batch = pool.submit(LEGAL_PARAMS[0], *_batch([b"x"]), False)  # answers 8 bytes
             batch.size = DEFAULT_PARAMS.digest_bytes  # but 512 are expected
             with pytest.raises(MshWorkerError, match="answered 8 bytes"):
                 pool.result(batch)
@@ -467,6 +468,12 @@ class TestPoolFaults:
 # The companion: MSH over preproc_record of the records its source takes,
 # hashed by the source's workers in the same fused batches when pooled.
 
+def _batch(records):
+    """One batch: the records joined into a buffer, and their spans in it."""
+    lengths = np.array([len(r) for r in records], np.int64)
+    return b"".join(records), np.column_stack((np.cumsum(lengths) - lengths, lengths))
+
+
 def _fused(records, pool, params=DEFAULT_PARAMS):
     """(MSH(D), MSH(Dpre)) the way mapped Preprocessing takes them: each
     record into the source, then into the source's companion."""
@@ -529,13 +536,20 @@ class TestFusedCompanion:
             source.companion()
 
     def test_fused_batch_is_answered_with_two_sums(self, msh_pool):
+        """A worker answers with _hash_spans, the function an accumulator
+        without a pool calls: the two replies are the same bytes."""
         records = [b"One  Two", b"", b"THREE"]
-        batch = msh_pool.submit(DEFAULT_PARAMS, records, fused=True)
-        reply = msh_pool.result(batch)
+        reply = msh_pool.result(msh_pool.submit(DEFAULT_PARAMS, *_batch(records), True))
         assert len(reply) == 2 * DEFAULT_PARAMS.digest_bytes
         limbs = [int.from_bytes(reply[i:i + 8], "little") for i in range(0, len(reply), 8)]
         assert limbs[:64] == oracle_msh(records)[0]
         assert limbs[64:] == oracle_msh(map(preproc_record, records))[0]
+        buffer, spans = _batch(records + [b" \t\n", b"Q" * 300])
+        for params in LEGAL_PARAMS:
+            for fused in (False, True):
+                reply = msh_pool.result(msh_pool.submit(params, buffer, spans, fused))
+                assert len(reply) == params.digest_bytes * (1 + fused)
+                assert reply == msh._hash_spans(buffer, spans, params, fused), (params, fused)
 
 
 class _Unflagged:

@@ -5,6 +5,7 @@ import os
 import signal
 import socket
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -13,8 +14,8 @@ from palm.attestation import Challenge, derive_private_key
 from palm.dataset import write_dataset
 from palm.dataset import MappedDataset
 from palm.encoding import sha3_256
-from palm.errors import PalmError, SchemaError
-from palm.measurers import OP_CODES, GpuToken, LabeledMeasurement, MeasurementSet
+from palm.errors import FormatError, PalmError, SchemaError
+from palm.measurers import GPU_LABEL, OP_CODES, GpuToken, LabeledMeasurement, MeasurementSet
 from palm.msh import msh_of_records
 from palm.protocol import (
     OPS,
@@ -55,6 +56,19 @@ def verifier(fixture):
 
 def nonce_chal(tag: str) -> Challenge:
     return Challenge.from_nonce(sha3_256(b"proto:" + tag.encode()))
+
+
+def _gpu_token(response) -> GpuToken:
+    """The token a response carries: its quoted GPU_att entry."""
+    (entry,) = [e for e in response.mset.h_i if e.label == GPU_LABEL]
+    return GpuToken.decode(entry.data)
+
+
+def _with_gpu_entry(response, token):
+    """The response with its GPU_att entry replaced by `token`."""
+    h_i = tuple(LabeledMeasurement(GPU_LABEL, token.encode()) if e.label == GPU_LABEL else e
+                for e in response.mset.h_i)
+    return replace(response, mset=replace(response.mset, h_i=h_i))
 
 
 class TestRequestSchema:
@@ -163,13 +177,9 @@ class TestRejectReasons:
     def test_gpu_invalid_signature(self, fixture, ctx, verifier):
         req = fixture.make_request("gpu-bad-sig")
         response = prover_handle(req, ctx)
-        bad = GpuToken(
-            response.gpu_token.gpu_measurement,
-            response.gpu_token.nonce,
-            bytes(64),
-        )
-        tampered = AttestationResponse(response.quote, response.mset, response.outputs, bad)
-        verdict = verifier.verify(tampered, req)
+        token = _gpu_token(response)
+        bad = GpuToken(token.gpu_measurement, token.nonce, bytes(64))
+        verdict = verifier.verify(_with_gpu_entry(response, bad), req)
         assert verdict.reason == "GpuEvidenceInvalid"
 
     def test_gpu_nonce_must_match_challenge(self, fixture, ctx, verifier):
@@ -178,8 +188,8 @@ class TestRejectReasons:
         req = fixture.make_request("gpu-nonce")
         response = prover_handle(req, ctx)
         retargeted = gpu_attest(ctx.gpu_state, b"\x00" * 32, ctx.gpu_key)
-        tampered = AttestationResponse(response.quote, response.mset, response.outputs, retargeted)
-        assert verifier.verify(tampered, req).reason == "GpuEvidenceInvalid"
+        assert verifier.verify(_with_gpu_entry(response, retargeted), req).reason == \
+            "GpuEvidenceInvalid"
 
     def test_mset_tamper_breaks_binding(self, fixture, ctx, verifier):
         req = fixture.make_request("mset-tamper")
@@ -188,7 +198,7 @@ class TestRejectReasons:
         entries[0] = LabeledMeasurement(entries[0].label, sha3_256(b"lie"))
         forged = MeasurementSet(response.mset.op, tuple(entries), response.mset.h_o)
         verdict = verifier.verify(
-            AttestationResponse(response.quote, forged, response.outputs, response.gpu_token),
+            AttestationResponse(response.quote, forged, response.outputs),
             req,
         )
         assert verdict.reason == "Malformed"
@@ -201,7 +211,7 @@ class TestRejectReasons:
         outputs = dict(response.outputs)
         outputs["h(Mtr)"] = outputs["h(Mtr)"] + b"\x00"
         verdict = verifier.verify(
-            AttestationResponse(response.quote, response.mset, outputs, response.gpu_token),
+            AttestationResponse(response.quote, response.mset, outputs),
             req,
         )
         assert verdict.reason == "OutputMismatch"
@@ -286,6 +296,16 @@ class TestBindingResolution:
         req2 = fixture.make_request("after-binding")
         after = verifier.verify(prover_handle(req2, ctx), req2)
         assert after.accepted
+
+    def test_binding_quotes_its_gpu_token(self, fixture, ctx, verifier):
+        """A response carries a GPU token only as its quoted GPU_att entry,
+        so a binding that wants GPU evidence quotes it like every other op."""
+        bind_req = build_request("MeasurementBinding", {"dataset": fixture.dataset_name},
+                                 nonce_chal("bind-gpu"), want_gpu=True)
+        response = prover_handle(bind_req, ctx)
+        assert [e.label for e in response.mset.h_i] == [GPU_LABEL]
+        assert _gpu_token(response).nonce == bind_req.chal.digest()
+        assert verifier.register_binding(response, bind_req).accepted
 
     def test_binding_for_other_dataset_does_not_resolve(self, fixture, ctx, tmp_path):
         store = self._plain_only_store(fixture)
@@ -921,6 +941,50 @@ class TestServedSchema:
         quantize = _optimization(fixture, "direct", "quantize")
         with pytest.raises(SchemaError, match="disagrees"):
             AttestationRequest(quantize.op, quantize.chal, dict(quantize.inputs, id_opt="prune"))
+
+
+class TestHostileDocuments:
+    """A request or response document decodes exactly or fails closed."""
+
+    @pytest.mark.parametrize("key", ["want_gpu", "confidential"])
+    @pytest.mark.parametrize("value", ["false", 1, 1.5, {}], ids=repr)
+    def test_flags_are_exact_booleans(self, fixture, key, value):
+        doc = fixture.make_request("flags").to_json()
+        doc[key] = value
+        with pytest.raises(SchemaError, match="must each be true or false"):
+            AttestationRequest.from_json(doc)
+
+    @pytest.mark.parametrize("label", [7, "\u00e9", None], ids=repr)
+    def test_label_must_be_ascii_text(self, fixture, ctx, verifier, label):
+        req = fixture.make_request("label")
+        doc = prover_handle(req, ctx).to_json()
+        doc["measurement_set"]["h_o"][0]["label"] = label
+        with pytest.raises(FormatError, match="is not ASCII text"):
+            verifier.verify(AttestationResponse.from_json(doc), req)
+
+    @pytest.mark.parametrize("outputs", [[1], "x", 7], ids=repr)
+    def test_outputs_must_be_an_object(self, fixture, ctx, outputs):
+        doc = prover_handle(fixture.make_request("outputs"), ctx).to_json()
+        doc["outputs"] = outputs
+        with pytest.raises(FormatError, match="outputs must be an object"):
+            AttestationResponse.from_json(doc)
+
+    @pytest.mark.parametrize("field", ["quote", "output"])
+    def test_base64_must_be_canonical(self, fixture, ctx, field):
+        """RFC 4648 section 3.5: data after the padding, or pad bits that are
+        not zero, make text that no encoder writes."""
+        doc = prover_handle(fixture.make_request("b64"), ctx).to_json()
+        for text in ("QUI=", "QUI=QUJD", "QUJ="):
+            if field == "quote":
+                doc["quote"] = text
+            else:
+                doc["outputs"]["h(Mtr)"] = text
+            if text != "QUI=":
+                with pytest.raises(FormatError):
+                    AttestationResponse.from_json(doc)
+                continue
+            response = AttestationResponse.from_json(doc)
+            assert b"AB" in (response.quote, response.outputs["h(Mtr)"])
 
 
 class TestVerifierBindsOperation:
