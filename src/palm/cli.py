@@ -223,6 +223,8 @@ def _verdict_exit(args, verdict, store=None, store_path=None) -> int:
 
 def cmd_verify(args) -> int:
     bundle = _read_json_file(args.bundle)
+    if not isinstance(bundle, dict):
+        raise CliError("bad bundle: not a JSON object")
     try:
         request = AttestationRequest.from_json(bundle["request"])
         response = AttestationResponse.from_json(bundle["response"])

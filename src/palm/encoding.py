@@ -16,6 +16,15 @@ def sha3_256(data: bytes) -> bytes:
     return hashlib.sha3_256(data).digest()
 
 
+def hex_bytes(text: str) -> bytes:
+    """The bytes that canonical hex text (lowercase, no separators) encodes;
+    any other text is a ValueError, and a value that is not text a TypeError."""
+    data = bytes.fromhex(text)
+    if data.hex() != text:
+        raise ValueError(f"hex text {text[:16]!r} is not canonical")
+    return data
+
+
 def u32(value: int) -> bytes:
     return struct.pack("<I", value)
 

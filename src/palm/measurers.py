@@ -1,15 +1,19 @@
 """Per-operation measurement sets: labeled input and output digests.
 
-Each measurer runs one toy operation and assembles the evidence a quote
-will bind: an ordered list of labeled input measurements (H_I) and output
-measurements (H_O). Dataset inputs are measured according to how the
-dataset is held: a plain SHA3-256 over the file bytes when it was loaded
-whole (label "h(role)"), or the sample-time multiset digest when it is
-memory-mapped (label "MSH(role)"). A GPU attestation token, when one was
-produced, rides in H_I under the label "GPU_att"; its absence from an
-operation that declared GPU use is a verifier-visible condition, so
-measurers never fabricate a placeholder. OP_CODES lists each operation's
-labels.
+Each measurer runs one toy operation and states the evidence a quote will
+bind through one function (_measured): an ordered list of labeled input
+measurements (H_I) and output measurements (H_O). _measured appends the
+GPU attestation token, when one was produced, last in H_I under the label
+"GPU_att"; its absence from an operation that declared GPU use is a
+verifier-visible condition, so measurers never fabricate a placeholder. It
+derives each H_O entry "h(x)" as the SHA3 of the output payload x, built
+when the run is measured; only a mapped Preprocessing's MSH(Dpre) and
+MeasurementBinding's tie of two digests are derived by their measurers.
+Dataset inputs are measured according to how the dataset is held: a plain
+SHA3-256 over the file bytes when it was loaded whole (label "h(role)"), or
+the sample-time multiset digest when it is memory-mapped (label
+"MSH(role)"). An operation is named by its key in OP_CODES, which lists
+each operation's labels.
 
 Every operation on a dataset handle makes one pass over it (_one_pass), so
 a mapped dataset streams into the operation in one exactly-once epoch and
@@ -30,8 +34,7 @@ keeps Dpre.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from . import msh
@@ -42,8 +45,8 @@ from .dataset import (
     pack_records,
     record_spans,
 )
-from .encoding import lp, sha3_256, u32
-from .errors import FormatError, IncompleteEpoch, PalmError
+from .encoding import hex_bytes, lp, sha3_256, u32
+from .errors import FormatError, IncompleteEpoch
 from .msh import MshAccumulator, MshDigest, msh_of_records
 from .toyops import (
     History,
@@ -62,8 +65,9 @@ from .toyops import (
     train,
 )
 
-# Wire code and closed label schema per operation (h_D is h or MSH as the
-# dataset is held; GPU_att, when present, is last in H_I).
+# Wire code and closed label schema per operation, by operation name (h_D
+# is h or MSH as the dataset is held; _measured appends GPU_att, when there
+# is a token, last in H_I, and derives each h(...) entry of H_O).
 OP_CODES = {                     # H_I                                  H_O
     "Preprocessing": 1,          # [h_D(D)]                             [h_D(Dpre)]
     "AttributeDistribution": 2,  # [h_D(D)]                             [h(Adist)]
@@ -84,24 +88,6 @@ T = TypeVar("T")
 
 
 @dataclass(frozen=True)
-class OperationId:
-    """One of the eight measured operations; optimizations carry their id."""
-
-    name: str
-    id_opt: Optional[str] = None
-
-    def __post_init__(self):
-        if self.name not in OP_CODES:
-            raise ValueError(f"unknown operation {self.name!r}")
-        if (self.id_opt is not None) != (self.name == "WeightOptimization"):
-            raise ValueError("id_opt is set iff the operation is WeightOptimization")
-
-    @property
-    def code(self) -> int:
-        return OP_CODES[self.name]
-
-
-@dataclass(frozen=True)
 class LabeledMeasurement:
     label: str
     data: bytes
@@ -115,13 +101,19 @@ class LabeledMeasurement:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    op: OperationId
+    """The evidence of one run of the operation named `op`, a key of OP_CODES."""
+
+    op: str
     h_i: tuple[LabeledMeasurement, ...]
     h_o: tuple[LabeledMeasurement, ...]
 
+    def __post_init__(self):
+        if self.op not in OP_CODES:
+            raise ValueError(f"unknown operation {self.op!r}")
+
     def serialized_bytes(self) -> bytes:
         """Op code byte, then each list as u32 count + (label, bytes) entries."""
-        out = bytearray([self.op.code])
+        out = bytearray([OP_CODES[self.op]])
         for group in (self.h_i, self.h_o):
             out += u32(len(group))
             for entry in group:
@@ -133,30 +125,22 @@ class MeasurementSet:
         return sha3_256(self.serialized_bytes())
 
     def to_json(self) -> dict:
-        doc = {
-            "op": self.op.name,
+        return {
+            "op": self.op,
             "h_i": [{"label": e.label, "hex": e.data.hex()} for e in self.h_i],
             "h_o": [{"label": e.label, "hex": e.data.hex()} for e in self.h_o],
         }
-        if self.op.id_opt is not None:
-            doc["id_opt"] = self.op.id_opt
-        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "MeasurementSet":
         try:
-            op = OperationId(doc["op"], doc.get("id_opt"))
-            h_i = tuple(
-                LabeledMeasurement(e["label"], bytes.fromhex(e["hex"]))
-                for e in doc["h_i"]
+            h_i, h_o = (
+                tuple(LabeledMeasurement(e["label"], hex_bytes(e["hex"])) for e in doc[group])
+                for group in ("h_i", "h_o")
             )
-            h_o = tuple(
-                LabeledMeasurement(e["label"], bytes.fromhex(e["hex"]))
-                for e in doc["h_o"]
-            )
+            return cls(doc["op"], h_i, h_o)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad measurement set: {exc}") from exc
-        return cls(op, h_i, h_o)
 
 
 @dataclass(frozen=True)
@@ -189,18 +173,12 @@ class GpuToken:
 @dataclass(frozen=True)
 class Measured:
     """Result of a measured run: the operation output, its evidence, and the
-    output payloads (keyed by label) a relying party can recheck H_O against.
-
-    Payloads are built on first access of `outputs`, so a confidential run,
-    whose payloads are never returned, never pays for them."""
+    output payloads (keyed by label) a relying party can recheck H_O against,
+    or None when the run kept none."""
 
     result: object
     mset: MeasurementSet
-    payloads: Callable[[], dict[str, bytes]] = field(repr=False, compare=False)
-
-    @cached_property
-    def outputs(self) -> dict[str, bytes]:
-        return self.payloads()
+    outputs: Optional[dict[str, bytes]]
 
 
 def _one_pass(
@@ -245,14 +223,33 @@ def _kept(into: list, items: Iterable[T], derive: Callable[[T], object]) -> Iter
         yield item
 
 
-def _with_gpu(h_i: list[LabeledMeasurement], gpu: Optional[GpuToken]) -> tuple:
+def _measured(
+    name: str,
+    h_i: list[LabeledMeasurement],
+    gpu: Optional[GpuToken],
+    result: object,
+    outputs: dict[str, bytes],
+    h_o: Optional[list[LabeledMeasurement]] = None,
+    keep: bool = True,
+) -> Measured:
+    """The evidence of a run of operation `name`, as every measurer states it.
+
+    H_I is `h_i` followed by the GPU token, when there is one. H_O is `h_o`
+    when the measurer derives it itself, or else one entry per output
+    payload, in order: its label and the SHA3 of the payload. Without `keep`
+    (a confidential run) the result and the payloads are measured but not
+    kept: both are None."""
     if gpu is not None:
-        h_i = h_i + [LabeledMeasurement(GPU_LABEL, gpu.encode())]
-    return tuple(h_i)
+        h_i = [*h_i, LabeledMeasurement(GPU_LABEL, gpu.encode())]
+    if h_o is None:
+        h_o = [LabeledMeasurement(label, sha3_256(payload)) for label, payload in outputs.items()]
+    mset = MeasurementSet(name, tuple(h_i), tuple(h_o))
+    return Measured(result, mset, outputs) if keep else Measured(None, mset, None)
 
 
-def _not_kept() -> dict[str, bytes]:
-    raise PalmError("outputs were not kept: the run was measured without them")
+def idopt_entry(id_opt: str) -> LabeledMeasurement:
+    """The H_I entry that names a WeightOptimization's optimization."""
+    return LabeledMeasurement("h(idopt)", sha3_256(id_opt.encode("ascii")))
 
 
 def measure_preprocessing(
@@ -264,46 +261,32 @@ def measure_preprocessing(
     the companion of the handle's accumulator.
 
     Without keep_output (a confidential run, whose outputs are never
-    returned) Dpre is measured but not kept: the result is None and reading
-    the outputs raises, so a mapped run holds no dataset-sized state. A run
-    that keeps Dpre preprocesses each consumed record here for the payload,
-    from the same bytes the companion measures."""
+    returned) Dpre is measured but not kept: the result and the outputs are
+    None, so a mapped run holds no dataset-sized state. A run that keeps
+    Dpre preprocesses each consumed record here for the payload, from the
+    same bytes the companion measures."""
     if isinstance(ds, InMemoryDataset):
         d_pre, d_entry = _one_pass(ds, "D", preproc)
-        packed = pack_records(d_pre)
-        out_entry = LabeledMeasurement("h(Dpre)", sha3_256(packed))
-    else:
-        produced: list[bytes] = []
-        d_pre_acc = ds.accumulator.companion()
+        return _measured("Preprocessing", [d_entry], gpu, d_pre,
+                         {"h(Dpre)": pack_records(d_pre)}, keep=keep_output)
+    produced: list[bytes] = []
+    d_pre_acc = ds.accumulator.companion()
 
-        def fold(records: Iterable[bytes]) -> MshDigest:
-            if keep_output:
-                records = _kept(produced, records, preproc_record)
-            return msh_of_records(records, into=d_pre_acc)
+    def fold(records: Iterable[bytes]) -> MshDigest:
+        if keep_output:
+            records = _kept(produced, records, preproc_record)
+        return msh_of_records(records, into=d_pre_acc)
 
-        d_pre_msh, d_entry = _one_pass(ds, "D", fold)
-        d_pre = tuple(produced)
-        out_entry = LabeledMeasurement("MSH(Dpre)", d_pre_msh.encode())
-        packed = None  # packed only if the payload is read
-    mset = MeasurementSet(
-        OperationId("Preprocessing"),
-        _with_gpu([d_entry], gpu),
-        (out_entry,),
-    )
-    if not keep_output:
-        return Measured(None, mset, _not_kept)
-    return Measured(d_pre, mset, lambda: {out_entry.label: packed or pack_records(d_pre)})
+    d_pre_msh, d_entry = _one_pass(ds, "D", fold)
+    out_entry = LabeledMeasurement("MSH(Dpre)", d_pre_msh.encode())
+    return _measured("Preprocessing", [d_entry], gpu, tuple(produced),
+                     {out_entry.label: pack_records(produced)}, h_o=[out_entry], keep=keep_output)
 
 
 def measure_attribute_distribution(ds: Dataset, gpu: Optional[GpuToken] = None) -> Measured:
     hist, d_entry = _one_pass(ds, "D", attribute_distribution)
-    ser = serialize_distribution(hist)
-    mset = MeasurementSet(
-        OperationId("AttributeDistribution"),
-        _with_gpu([d_entry], gpu),
-        (LabeledMeasurement("h(Adist)", sha3_256(ser)),),
-    )
-    return Measured(hist, mset, lambda: {"h(Adist)": ser})
+    return _measured("AttributeDistribution", [d_entry], gpu, hist,
+                     {"h(Adist)": serialize_distribution(hist)})
 
 
 def measure_binding(path: str | os.PathLike, gpu: Optional[GpuToken] = None) -> Measured:
@@ -323,12 +306,9 @@ def measure_binding(path: str | os.PathLike, gpu: Optional[GpuToken] = None) -> 
         acc.insert_spans(data, spans[start : start + msh.FLUSH_RECORDS])
     plain = sha3_256(data)
     multiset = acc.finalize().encode()
-    mset = MeasurementSet(
-        OperationId("MeasurementBinding"),
-        _with_gpu([], gpu),
-        (LabeledMeasurement(BINDING_LABEL, sha3_256(plain + multiset)),),
-    )
-    return Measured((plain, multiset), mset, lambda: {"h(D)": plain, "MSH(D)": multiset})
+    return _measured("MeasurementBinding", [], gpu, (plain, multiset),
+                     {"h(D)": plain, "MSH(D)": multiset},
+                     h_o=[LabeledMeasurement(BINDING_LABEL, sha3_256(plain + multiset))])
 
 
 def measure_training(
@@ -341,21 +321,13 @@ def measure_training(
     model, d_entry = _one_pass(
         ds_tr, "Dtr", lambda records: train(arch, records, config, tokenizer)
     )
-    model_bytes = model.serialized_bytes()
-    mset = MeasurementSet(
-        OperationId("Training"),
-        _with_gpu(
-            [
-                LabeledMeasurement("h(Mar)", sha3_256(ToyModel.empty(arch).serialized_bytes())),
-                d_entry,
-                LabeledMeasurement("h(T)", sha3_256(config.serialized_bytes())),
-                LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
-            ],
-            gpu,
-        ),
-        (LabeledMeasurement("h(Mtr)", sha3_256(model_bytes)),),
-    )
-    return Measured(model, mset, lambda: {"h(Mtr)": model_bytes})
+    h_i = [
+        LabeledMeasurement("h(Mar)", sha3_256(ToyModel.empty(arch).serialized_bytes())),
+        d_entry,
+        LabeledMeasurement("h(T)", sha3_256(config.serialized_bytes())),
+        LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
+    ]
+    return _measured("Training", h_i, gpu, model, {"h(Mtr)": model.serialized_bytes()})
 
 
 def measure_optimization(
@@ -374,23 +346,18 @@ def measure_optimization(
         optimized, opt_entry = _one_pass(
             ds_opt, "Dopt", lambda d_opt: optimize(model, tokenizer, config, id_opt, adp, d_opt)
         )
-    optimized_bytes = optimized.serialized_bytes()
     h_i = [
         LabeledMeasurement("h(M)", sha3_256(model.serialized_bytes())),
         LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
         LabeledMeasurement("h(T)", sha3_256(config.serialized_bytes())),
-        LabeledMeasurement("h(idopt)", sha3_256(id_opt.encode("ascii"))),
+        idopt_entry(id_opt),
     ]
     if adp is not None:
         h_i.append(LabeledMeasurement("h(Madp)", sha3_256(adp.serialized_bytes())))
     if opt_entry is not None:
         h_i.append(opt_entry)
-    mset = MeasurementSet(
-        OperationId("WeightOptimization", id_opt),
-        _with_gpu(h_i, gpu),
-        (LabeledMeasurement("h(Mopt)", sha3_256(optimized_bytes)),),
-    )
-    return Measured(optimized, mset, lambda: {"h(Mopt)": optimized_bytes})
+    return _measured("WeightOptimization", h_i, gpu, optimized,
+                     {"h(Mopt)": optimized.serialized_bytes()})
 
 
 def measure_evaluation(
@@ -400,20 +367,12 @@ def measure_evaluation(
     gpu: Optional[GpuToken] = None,
 ) -> Measured:
     metric, d_entry = _one_pass(ds_te, "Dte", lambda records: evaluate(model, tokenizer, records))
-    metric_bytes = metric.encode("ascii")
-    mset = MeasurementSet(
-        OperationId("Evaluation"),
-        _with_gpu(
-            [
-                LabeledMeasurement("h(M)", sha3_256(model.serialized_bytes())),
-                LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
-                d_entry,
-            ],
-            gpu,
-        ),
-        (LabeledMeasurement("h(metric)", sha3_256(metric_bytes)),),
-    )
-    return Measured(metric, mset, lambda: {"h(metric)": metric_bytes})
+    h_i = [
+        LabeledMeasurement("h(M)", sha3_256(model.serialized_bytes())),
+        LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
+        d_entry,
+    ]
+    return _measured("Evaluation", h_i, gpu, metric, {"h(metric)": metric.encode("ascii")})
 
 
 def measure_inference(
@@ -423,20 +382,12 @@ def measure_inference(
     gpu: Optional[GpuToken] = None,
 ) -> Measured:
     response = infer(model, tokenizer, query)
-    r_bytes = response.encode("latin-1")
-    mset = MeasurementSet(
-        OperationId("SingleInference"),
-        _with_gpu(
-            [
-                LabeledMeasurement("h(M)", sha3_256(model.serialized_bytes())),
-                LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
-                LabeledMeasurement("h(q)", sha3_256(query)),
-            ],
-            gpu,
-        ),
-        (LabeledMeasurement("h(r)", sha3_256(r_bytes)),),
-    )
-    return Measured(response, mset, lambda: {"h(r)": r_bytes})
+    h_i = [
+        LabeledMeasurement("h(M)", sha3_256(model.serialized_bytes())),
+        LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
+        LabeledMeasurement("h(q)", sha3_256(query)),
+    ]
+    return _measured("SingleInference", h_i, gpu, response, {"h(r)": response.encode("latin-1")})
 
 
 def measure_session_inference(
@@ -449,22 +400,10 @@ def measure_session_inference(
     response = infer_session(model, tokenizer, history, query)
     r_bytes = response.encode("latin-1")
     new_history = history + ((query, r_bytes),)
-    history_bytes = serialize_history(new_history)
-    mset = MeasurementSet(
-        OperationId("SessionInference"),
-        _with_gpu(
-            [
-                LabeledMeasurement("h(q)", sha3_256(query)),
-                LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
-                LabeledMeasurement("h(M)", sha3_256(model.serialized_bytes())),
-            ],
-            gpu,
-        ),
-        (
-            LabeledMeasurement("h(r)", sha3_256(r_bytes)),
-            LabeledMeasurement("h(H)", sha3_256(history_bytes)),
-        ),
-    )
-    return Measured(
-        (response, new_history), mset, lambda: {"h(r)": r_bytes, "h(H)": history_bytes}
-    )
+    h_i = [
+        LabeledMeasurement("h(q)", sha3_256(query)),
+        LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
+        LabeledMeasurement("h(M)", sha3_256(model.serialized_bytes())),
+    ]
+    return _measured("SessionInference", h_i, gpu, (response, new_history),
+                     {"h(r)": r_bytes, "h(H)": serialize_history(new_history)})

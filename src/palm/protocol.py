@@ -23,8 +23,9 @@ Check order (first failure wins, later checks are not executed):
     3 td_image                 h_TD is an accepted trust-domain measurement
     4 td_module                h_module is an accepted module measurement
     5 gpu_evidence             token present and valid when the request declared GPU
-    6 measurement_set_binding  cleartext measurement set hashes to the quoted digest
-                               and names the requested operation (and id_opt)
+    6 measurement_set_binding  cleartext measurement set hashes to the quoted digest,
+                               names the requested operation, and quotes h(idopt)
+                               of the requested optimization
     7 output_measurements      H_O entries recompute from the returned outputs
     8 reference_values         measurements match registered references (multiset
                                entries may resolve through a registered binding)
@@ -58,7 +59,7 @@ from .attestation import (
     verify_quote,
 )
 from .dataset import MappedDataset, load_in_memory, unpack_records
-from .encoding import sha3_256
+from .encoding import hex_bytes, sha3_256
 from .errors import (
     FormatError,
     MalformedQuote,
@@ -71,7 +72,7 @@ from .measurers import (
     GpuToken,
     Measured,
     MeasurementSet,
-    OperationId,
+    idopt_entry,
     measure_attribute_distribution,
     measure_binding,
     measure_evaluation,
@@ -83,7 +84,7 @@ from .measurers import (
 )
 from .msh import MshPool, msh_of_records
 from .refstore import ReferenceStore
-from .toyops import MODEL_KINDS, History, ToyModel, ToyTokenizer, TrainConfig
+from .toyops import MODEL_KINDS, OPTIMIZATIONS, History, ToyModel, ToyTokenizer, TrainConfig
 
 TIMESTAMP_WINDOW_SECONDS = 300
 
@@ -266,10 +267,10 @@ OPS = {spec.name: spec for spec in (
 
 @dataclass(frozen=True)
 class AttestationRequest:
-    """A request for one operation. It holds itself to the operation's
-    entry in OPS on construction; a fault is a SchemaError."""
+    """A request for the operation named `op`, a key of OPS. It holds itself
+    to the operation's entry on construction; a fault is a SchemaError."""
 
-    op: OperationId
+    op: str
     chal: Challenge
     inputs: dict
     mode: str = "inmem"
@@ -277,7 +278,11 @@ class AttestationRequest:
     confidential: bool = False
 
     def __post_init__(self):
-        spec = OPS[self.op.name]  # OperationId admits only the eight operations
+        spec = OPS.get(self.op)
+        if spec is None:
+            raise SchemaError(f"unknown operation {self.op!r}")
+        if not isinstance(self.inputs, dict):
+            raise SchemaError("inputs must be an object")
         if self.mode not in MODES:
             raise SchemaError(f"unknown mode {self.mode!r}")
         if not (isinstance(self.want_gpu, bool) and isinstance(self.confidential, bool)):
@@ -290,35 +295,32 @@ class AttestationRequest:
             raise SchemaError(f"{spec.name} does not take inputs: {sorted(unknown)}")
         if spec.nonce_only and self.chal.kind != "nonce":
             raise SchemaError(f"{spec.name} requires a nonce challenge, not {self.chal.kind}")
-        id_opt = self.op.id_opt
-        if id_opt is not None:
-            if self.inputs["id_opt"] != id_opt:
-                raise SchemaError(f"id_opt {id_opt!r} disagrees with {self.inputs['id_opt']!r}")
+        if "id_opt" in self.inputs:
+            id_opt = self.inputs["id_opt"]
+            if id_opt not in OPTIMIZATIONS:
+                raise SchemaError(f"unknown optimization {id_opt!r}")
             if id_opt == "finetune" and "opt_dataset" not in self.inputs:
                 raise SchemaError("finetune requires opt_dataset")
             if id_opt != "finetune" and "opt_dataset" in self.inputs:
                 raise SchemaError(f"{id_opt!r} does not take opt_dataset")
 
     def to_json(self) -> dict:
-        doc = {
-            "op": self.op.name,
+        return {
+            "op": self.op,
             "chal": self.chal.encode().hex(),
             "inputs": self.inputs,
             "mode": self.mode,
             "want_gpu": self.want_gpu,
             "confidential": self.confidential,
         }
-        if self.op.id_opt is not None:
-            doc["id_opt"] = self.op.id_opt
-        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "AttestationRequest":
         try:
             return cls(
-                op=OperationId(doc["op"], doc.get("id_opt")),
-                chal=Challenge.decode(bytes.fromhex(doc["chal"])),
-                inputs=dict(doc["inputs"]),
+                op=doc["op"],
+                chal=Challenge.decode(hex_bytes(doc["chal"])),
+                inputs=doc["inputs"],
                 mode=doc["mode"],
                 want_gpu=doc["want_gpu"],
                 confidential=doc["confidential"],
@@ -335,13 +337,9 @@ def build_request(
     want_gpu: bool = False,
     confidential: bool = False,
 ) -> AttestationRequest:
-    """A request for the named operation, whose id_opt (if any) is the one
-    its inputs carry; it checks itself against the operation's schema."""
-    try:
-        op = OperationId(op_name, inputs.get("id_opt"))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    return AttestationRequest(op, chal, inputs, mode, want_gpu, confidential)
+    """A request for the named operation; it checks itself against the
+    operation's schema."""
+    return AttestationRequest(op_name, chal, inputs, mode, want_gpu, confidential)
 
 
 # --------------------------------------------------------------------------
@@ -466,7 +464,7 @@ def prover_handle(request: AttestationRequest, ctx: TdContext) -> AttestationRes
     if request.want_gpu and ctx.gpu_key is not None:
         gpu = gpu_attest(ctx.gpu_state, request.chal.digest(), ctx.gpu_key)
     with ExitStack() as handles:
-        measured = OPS[request.op.name].measure(_Run(request, ctx, gpu, handles))
+        measured = OPS[request.op].measure(_Run(request, ctx, gpu, handles))
     rd = build_report_data(request.chal, measured.mset)
     report = create_td_report(ctx.h_td, H_MODULE, rd, ctx.mac_key)
     report = ctx.report_hook(report)
@@ -474,7 +472,7 @@ def prover_handle(request: AttestationRequest, ctx: TdContext) -> AttestationRes
     return AttestationResponse(
         quote=quote.encode(),
         mset=measured.mset,
-        outputs=None if request.confidential else dict(measured.outputs),
+        outputs=None if request.confidential else measured.outputs,
     )
 
 
@@ -607,6 +605,9 @@ class Verifier:
             raise _Fail("Malformed", "measurement set does not hash to the quoted digest")
         if mset.op != ev.request.op:
             raise _Fail("Malformed", f"measurement set is for {mset.op}, not {ev.request.op}")
+        id_opt = ev.request.inputs.get("id_opt")
+        if id_opt is not None and idopt_entry(id_opt) not in mset.h_i:
+            raise _Fail("Malformed", f"measurement set does not quote optimization {id_opt!r}")
         return "measurement set bound by quote"
 
     def _check_outputs(self, ev: _Evidence) -> str:
@@ -638,12 +639,11 @@ class Verifier:
 
     def _check_references(self, ev: _Evidence) -> str:
         mset = ev.response.mset
-        op_name = mset.op.name
         checked = 0
         for entry in (*mset.h_i, *mset.h_o):
             if entry.label == GPU_LABEL:
                 continue  # GPU evidence has its own check
-            refs = self.refstore.refs_for(op_name, entry.label)
+            refs = self.refstore.refs_for(mset.op, entry.label)
             if refs is not None:
                 checked += 1
                 if entry.data not in refs:
@@ -652,7 +652,7 @@ class Verifier:
             if entry.label.startswith("MSH("):
                 # No multiset reference; try the bound plain-hash form.
                 plain_label = "h(" + entry.label[len("MSH(") :]
-                plain_refs = self.refstore.refs_for(op_name, plain_label)
+                plain_refs = self.refstore.refs_for(mset.op, plain_label)
                 if plain_refs is None:
                     continue
                 checked += 1
@@ -708,7 +708,7 @@ class Verifier:
         """Verify a measurement-binding response; on acceptance, register the
         (plain, multiset) pair so multiset measurements can resolve against
         plain references from then on."""
-        if response.mset.op.name != "MeasurementBinding":
+        if response.mset.op != "MeasurementBinding":
             raise SchemaError("not a measurement-binding response")
         verdict = self.verify(response, request_echo, now)
         if verdict.accepted:

@@ -35,7 +35,7 @@ from palm.attestation import (
 )
 from palm.dataset import write_dataset
 from palm.encoding import sha3_256, u64
-from palm.measurers import LabeledMeasurement, MeasurementSet, OperationId
+from palm.measurers import LabeledMeasurement, MeasurementSet
 from palm.msh import MshAccumulator, hash_record
 from palm.protocol import (
     AttestationRequest,
@@ -80,9 +80,9 @@ FROZEN_SHA256 = {
     # stdout of `palm --json adversary all`
     "adversary_all_json": "138b4f42f2f42b8d2f0c89a4ce21022b3a76e838b8bca5dbad0980770882bf6c",
     # canonical_bytes() of every build_env response, in request order
-    "pipeline_responses": "e0536e97f59731b756b465de6437a71b65da84be40120e244f9617a77fdf4138",
+    "pipeline_responses": "46606ab96224b2c259a911296782d6c925a4b529ffe756ee05900ac088122cd7",
     # the same for the dataset operations in mapped mode (remapped)
-    "pipeline_responses_mapped": "f5758ceb5c2b1d101f9049b0434a01bc0ba9fc6788b4c9aa244343e558219ba9",
+    "pipeline_responses_mapped": "1d0a6b8717f62a7893fd5a1ae4e86807cb33b446f94aac35075be09b56ef2747",
 }
 
 
@@ -257,7 +257,7 @@ def test_2_merge_homomorphism_random_partitions():
 
 def _fixture_evidence_via_package():
     mset = MeasurementSet(
-        OperationId("SingleInference"),
+        "SingleInference",
         (
             LabeledMeasurement("h(M)", b"\xaa" * 32),
             LabeledMeasurement("h(Mtok)", b"\xbb" * 32),

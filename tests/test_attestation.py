@@ -28,7 +28,7 @@ from palm.errors import (
     MalformedQuote,
     SignatureInvalid,
 )
-from palm.measurers import LabeledMeasurement, MeasurementSet, OperationId
+from palm.measurers import LabeledMeasurement, MeasurementSet
 
 SEED = b"test-seed"
 
@@ -36,7 +36,7 @@ SEED = b"test-seed"
 @pytest.fixture
 def mset():
     return MeasurementSet(
-        OperationId("SingleInference"),
+        "SingleInference",
         (LabeledMeasurement("h(M)", b"\xaa" * 32),),
         (LabeledMeasurement("h(r)", b"\xbb" * 32),),
     )

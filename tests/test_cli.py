@@ -95,6 +95,23 @@ class TestDatasetCommands:
         assert code == 2
 
 
+def _relabelled(label):
+    def hostile(doc):
+        doc["response"]["measurement_set"]["h_i"][0]["label"] = label
+        return doc
+    return hostile
+
+
+# A bundle file `palm verify` must refuse with exit 2: each turns a clean
+# bundle into a hostile one.
+HOSTILE_BUNDLES = [
+    *(pytest.param(_relabelled(label), "is not ASCII text", id=repr(label))
+      for label in (7, "é")),
+    *(pytest.param(lambda doc, value=value: value, "bad bundle", id=repr(value))
+      for value in ([], "x")),
+]
+
+
 class TestRequestVerify:
     def test_round_trip_accepts(self, staged_dataset, server, tmp_path, capsys):
         bundle = tmp_path / "bundle.json"
@@ -128,8 +145,9 @@ class TestRequestVerify:
         assert code == 1
         assert json.loads(out)["reason"] == "SignatureInvalid"
 
-    @pytest.mark.parametrize("label", [7, "é"], ids=repr)
-    def test_hostile_label_exits_2(self, staged_dataset, server, tmp_path, capsys, label):
+    @pytest.mark.parametrize("hostile, error", HOSTILE_BUNDLES)
+    def test_hostile_label_exits_2(self, staged_dataset, server, tmp_path, capsys, hostile,
+                                   error):
         bundle = tmp_path / "bundle.json"
         run(
             capsys,
@@ -137,12 +155,10 @@ class TestRequestVerify:
             "--dataset", "corpus.palmds", "--chal", "nonce:" + "33" * 32,
             "--out", str(bundle),
         )
-        doc = json.loads(bundle.read_text())
-        doc["response"]["measurement_set"]["h_i"][0]["label"] = label
-        bundle.write_text(json.dumps(doc))
+        bundle.write_text(json.dumps(hostile(json.loads(bundle.read_text()))))
         code = cli.main(["verify", str(bundle)])
         assert code == 2
-        assert "is not ASCII text" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
     def test_mapped_mode_and_stdout_bundle(self, staged_dataset, server, capsys):
         code, out = run(

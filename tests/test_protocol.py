@@ -83,7 +83,7 @@ class TestRequestSchema:
             },
             Challenge.from_timestamp(),
         )
-        assert req.op.name == "Training"
+        assert req.op == "Training"
 
     def test_inference_requires_nonce(self, fixture):
         with pytest.raises(SchemaError):
@@ -474,7 +474,7 @@ class TestNonLatin1Text:
             with pytest.raises(PalmError, match=r"^server error: RuntimeError: measurer defect"):
                 request_over_tcp(server.endpoint, bad, timeout=10)
             good = self._inference(fixture, "after", "snow")
-            assert request_over_tcp(server.endpoint, good, timeout=10).mset.op.name == good.op.name
+            assert request_over_tcp(server.endpoint, good, timeout=10).mset.op == good.op
         finally:
             server.shutdown()
             server.server_close()
@@ -887,7 +887,7 @@ def _timestamp_inference(doc, fixture):
 def _mismatched_id_opt(doc, fixture):
     doc.clear()
     doc.update(_optimization(fixture, "mismatch", "quantize").to_json())
-    doc["inputs"]["id_opt"] = "prune"
+    doc["inputs"]["id_opt"] = "distill"
 
 
 SCHEMA_FAULTS = [_bad_mode, _missing_input, _unknown_input, _timestamp_inference,
@@ -939,8 +939,8 @@ class TestServedSchema:
         with pytest.raises(SchemaError, match="does not take inputs"):
             AttestationRequest(req.op, req.chal, dict(req.inputs, extra=1))
         quantize = _optimization(fixture, "direct", "quantize")
-        with pytest.raises(SchemaError, match="disagrees"):
-            AttestationRequest(quantize.op, quantize.chal, dict(quantize.inputs, id_opt="prune"))
+        with pytest.raises(SchemaError, match="unknown optimization"):
+            AttestationRequest(quantize.op, quantize.chal, dict(quantize.inputs, id_opt="distill"))
 
 
 class TestHostileDocuments:
@@ -986,6 +986,36 @@ class TestHostileDocuments:
             response = AttestationResponse.from_json(doc)
             assert b"AB" in (response.quote, response.outputs["h(Mtr)"])
 
+    @pytest.mark.parametrize("spell", [str.upper, lambda text: text[:2] + " " + text[2:]],
+                             ids=["upper", "spaced"])
+    def test_hex_must_be_canonical(self, fixture, ctx, spell):
+        """Lowercase hex with no separators is the one spelling of bytes."""
+        req = fixture.make_request("hex")
+        doc = prover_handle(req, ctx).to_json()
+        entry = doc["measurement_set"]["h_i"][0]
+        entry["hex"], original = spell(entry["hex"]), entry["hex"]
+        assert entry["hex"] != original
+        with pytest.raises(FormatError, match="not canonical"):
+            AttestationResponse.from_json(doc)
+        request = req.to_json()
+        request["chal"], original = spell(request["chal"]), request["chal"]
+        assert request["chal"] != original
+        with pytest.raises(SchemaError, match="not canonical"):
+            AttestationRequest.from_json(request)
+
+    @pytest.mark.parametrize("id_opt", [None, 7, "Quantize"], ids=repr)
+    def test_optimization_must_be_known(self, fixture, id_opt):
+        doc = _optimization(fixture, "id-opt", "quantize").to_json()
+        doc["inputs"]["id_opt"] = id_opt
+        with pytest.raises(SchemaError, match="unknown optimization"):
+            AttestationRequest.from_json(doc)
+
+    def test_inputs_must_be_an_object(self, fixture):
+        doc = fixture.make_request("inputs").to_json()
+        doc["inputs"] = list(doc["inputs"].items())
+        with pytest.raises(SchemaError, match="inputs must be an object"):
+            AttestationRequest.from_json(doc)
+
 
 class TestVerifierBindsOperation:
     """A measurement set answers the operation the relying party asked for:
@@ -1012,6 +1042,20 @@ class TestVerifierBindsOperation:
         response = prover_handle(prune, ctx)
         self._assert_malformed_at_binding(verifier.verify(response, quantize))
         assert Verifier(fixture.refstore).verify(response, prune).accepted
+
+    def test_relabelled_optimization(self, fixture, ctx, verifier):
+        """A quantize run presented as prune: the echoed request names prune,
+        and so does any unquoted label of the documents. Only the quoted
+        h(idopt) names the optimization that ran."""
+        quantize = _optimization(fixture, "relabel", "quantize")
+        response = prover_handle(quantize, ctx).to_json()
+        request = quantize.to_json()
+        request["inputs"] = dict(request["inputs"], id_opt="prune")
+        request["id_opt"] = response["measurement_set"]["id_opt"] = "prune"
+        verdict = verifier.verify(AttestationResponse.from_json(response),
+                                  AttestationRequest.from_json(request))
+        self._assert_malformed_at_binding(verdict)
+        assert "does not quote optimization 'prune'" in verdict.checks[-1].detail
 
 
 class TestTokenizerText:
