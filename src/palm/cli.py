@@ -29,8 +29,8 @@ import tempfile
 from .adversary import SCENARIOS, adversary_run, build_clean_fixture, clean_run
 from .attestation import H_MODULE, Challenge
 from .dataset import write_dataset
-from .encoding import sha3_256
-from .errors import PalmError
+from .encoding import hex_bytes, sha3_256
+from .errors import PalmError, SchemaError
 from .msh import msh_of_records
 from .protocol import (
     MODES,
@@ -247,8 +247,12 @@ def cmd_bind(args) -> int:
 
 
 def cmd_ref_add(args) -> int:
+    try:
+        digest = hex_bytes(args.digest)
+    except ValueError as exc:
+        raise SchemaError(f"--digest: {exc}") from exc
     store, store_path = _load_store(args)
-    store.add_property_ref(args.op, args.label, bytes.fromhex(args.digest))
+    store.add_property_ref(args.op, args.label, digest)
     store.save(store_path)
     _emit(
         args,

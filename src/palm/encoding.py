@@ -25,6 +25,17 @@ def hex_bytes(text: str) -> bytes:
     return data
 
 
+def check_keys(doc, keys: tuple[str, ...], what: str) -> None:
+    """Check that doc is an object whose keys are all in `keys`: a document
+    holds nothing it is not read for, so each value has one encoding. Any
+    other value is a TypeError, and a key not in `keys` a ValueError."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{what} must be an object, not {type(doc).__name__}")
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ValueError(f"{what} has keys it is not read for: {unknown}")
+
+
 def u32(value: int) -> bytes:
     return struct.pack("<I", value)
 

@@ -45,7 +45,7 @@ from .dataset import (
     pack_records,
     record_spans,
 )
-from .encoding import hex_bytes, lp, sha3_256, u32
+from .encoding import check_keys, hex_bytes, lp, sha3_256, u32
 from .errors import FormatError, IncompleteEpoch
 from .msh import MshAccumulator, MshDigest, msh_of_records
 from .toyops import (
@@ -98,6 +98,13 @@ class LabeledMeasurement:
         if not self.data:
             raise ValueError(f"empty measurement bytes for {self.label!r}")
 
+    @classmethod
+    def from_json(cls, doc: dict) -> "LabeledMeasurement":
+        """The entry a {"label", "hex"} object describes; a fault is a
+        KeyError, TypeError or ValueError."""
+        check_keys(doc, ("label", "hex"), "measurement")
+        return cls(doc["label"], hex_bytes(doc["hex"]))
+
 
 @dataclass(frozen=True)
 class MeasurementSet:
@@ -134,8 +141,9 @@ class MeasurementSet:
     @classmethod
     def from_json(cls, doc: dict) -> "MeasurementSet":
         try:
+            check_keys(doc, ("op", "h_i", "h_o"), "measurement set")
             h_i, h_o = (
-                tuple(LabeledMeasurement(e["label"], hex_bytes(e["hex"])) for e in doc[group])
+                tuple(LabeledMeasurement.from_json(e) for e in doc[group])
                 for group in ("h_i", "h_o")
             )
             return cls(doc["op"], h_i, h_o)

@@ -233,7 +233,20 @@ class MshAccumulator:
             return
         self._shipped.append(self._pool.submit(self.params, buffer, spans, fused))
         while self._shipped and self._shipped[0].done():
+            self._take()
+
+    def _take(self) -> None:
+        """Add the sums of the oldest shipped batch. If it was lost, every
+        other shipped batch is settled before the error is raised, so no
+        worker keeps a batch nobody will read: a worker that died with the
+        lost one is retired here, where its reply reads end of file, and is
+        never handed a later request's batch while it is still exiting."""
+        try:
             self._add(self._pool.result(self._shipped.popleft()))
+        except MshWorkerError:
+            while self._shipped:
+                self._pool.settle(self._shipped.popleft())
+            raise
 
     def _add(self, sums: bytes) -> None:
         sums = np.frombuffer(sums, dtype=self.params.dtype)
@@ -245,7 +258,7 @@ class MshAccumulator:
         """Bring the state up to date with every record inserted so far."""
         self._ship()
         while self._shipped:
-            self._add(self._pool.result(self._shipped.popleft()))
+            self._take()
 
     def insert_many(self, records: Iterable[bytes]) -> "MshAccumulator":
         for record in records:
@@ -489,10 +502,14 @@ class MshPool:
             if waits is not None:
                 self._read_ready(waits)
 
-    def result(self, batch: _Batch) -> bytes:
-        """The batch's summed limbs, as bytes; raises MshWorkerError if lost."""
+    def settle(self, batch: _Batch) -> None:
+        """Wait until the batch is answered or its worker is lost."""
         while not batch.done():
             self._read_one(batch.worker, batch)
+
+    def result(self, batch: _Batch) -> bytes:
+        """The batch's summed limbs, as bytes; raises MshWorkerError if lost."""
+        self.settle(batch)
         if batch.error is not None:
             raise batch.error
         return batch.reply

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import base64
 import json
+import marshal
 import os
 import threading
 import time
@@ -59,7 +60,7 @@ from .attestation import (
     verify_quote,
 )
 from .dataset import MappedDataset, load_in_memory, unpack_records
-from .encoding import hex_bytes, sha3_256
+from .encoding import check_keys, hex_bytes, sha3_256
 from .errors import (
     FormatError,
     MalformedQuote,
@@ -154,7 +155,7 @@ class DecodeCache:
 
     A document arrives as its JSON text (UTF-8 bytes, as the transport
     attaches it) or, in process, as a JSON value, whose key is its
-    `json_text`; that is the one key form. A hit is a byte comparison, and
+    `input_text`; that is the one key form. A hit is a byte comparison, and
     a miss decodes json.loads of the key, so a hit gives what a decode
     would: the no-wrong-hit property holds by construction. JSON text keeps
     types exact, so a count of `true` or `1.0` never finds the entry of a
@@ -172,7 +173,7 @@ class DecodeCache:
         self.last: dict[str, tuple[bytes, object]] = {}
 
     def get(self, space: str, doc, decode: Callable[[object], object]):
-        key = doc if isinstance(doc, bytes) else json_text(doc)
+        key = doc if isinstance(doc, bytes) else input_text(space, doc)
         with self._lock:
             kept = self.last.get(space)
         if kept is not None and kept[0] == key:
@@ -187,6 +188,46 @@ def json_text(doc) -> bytes:
     """A JSON value as the compact UTF-8 text that keys the decode cache and
     travels as a request's attached model, adapter or tokenizer."""
     return json.dumps(doc, separators=(",", ":")).encode()
+
+
+# Input name -> (marshal snapshot, JSON text) of the last value input_text
+# encoded for it: at most one entry per name of CACHED_INPUTS.
+_sent_texts: dict[str, tuple[bytes, bytes]] = {}
+_sent_lock = threading.Lock()
+
+
+def input_text(name: str, value) -> bytes:
+    """`json_text(value)` of a model, adapter or tokenizer input, encoded
+    once while the value stays the same.
+
+    The key is the value's marshal snapshot (version 2), taken on every
+    call, so a value changed in place misses. marshal writes each object of
+    an exact JSON type under its own type code, with no back-references, so
+    equal snapshots mean the same types, order and values: `1`, `True` and
+    `1.0` differ, and so do a tuple and a list. The text kept is the JSON
+    text of the snapshot's own value (marshal.loads), so it is a function
+    of the snapshot alone. A subclass of a JSON type makes marshal raise
+    ValueError, and marshal writes any other object with a buffer (bytes, a
+    numpy scalar) as bytes, which JSON cannot write; both are encoded from
+    the value as given and kept nowhere, so they give what json_text gives
+    (the string for a str subclass, TypeError for bytes). Thread-safe."""
+    if name not in CACHED_INPUTS:
+        raise ValueError(f"{name!r} is not a cached input")
+    try:
+        snapshot = marshal.dumps(value, 2)
+    except ValueError:
+        return json_text(value)
+    with _sent_lock:
+        kept = _sent_texts.get(name)
+    if kept is not None and kept[0] == snapshot:
+        return kept[1]
+    try:
+        text = json_text(marshal.loads(snapshot))
+    except TypeError:
+        return json_text(value)
+    with _sent_lock:
+        _sent_texts[name] = (snapshot, text)
+    return text
 
 
 @dataclass
@@ -317,6 +358,8 @@ class AttestationRequest:
     @classmethod
     def from_json(cls, doc: dict) -> "AttestationRequest":
         try:
+            check_keys(doc, ("op", "chal", "inputs", "mode", "want_gpu", "confidential"),
+                       "request")
             return cls(
                 op=doc["op"],
                 chal=Challenge.decode(hex_bytes(doc["chal"])),
@@ -434,6 +477,7 @@ class AttestationResponse:
         text, or bytes as the transport attaches them (a JSON document holds
         none)."""
         try:
+            check_keys(doc, ("quote", "measurement_set", "outputs"), "response")
             outputs = doc["outputs"]
             if not isinstance(outputs, (dict, type(None))):
                 raise TypeError(f"outputs must be an object, not {type(outputs).__name__}")

@@ -3,8 +3,9 @@
 One JSON document holds everything a verifier consults: registered quoting
 and GPU public keys, the accepted trust-domain and module measurements,
 expected digest values per (operation, label), and plain/multiset binding
-pairs. Digests are hex so the file diffs and audits cleanly; loading and
-saving round-trip losslessly.
+pairs. Digests are canonical hex (lowercase, no separators) so the file
+diffs and audits cleanly; loading and saving round-trip losslessly, and
+any other spelling of a digest is a SchemaError.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Optional
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
+from .encoding import hex_bytes
 from .errors import SchemaError
 
 STORE_VERSION = 1
@@ -96,15 +98,15 @@ class ReferenceStore:
             if doc["version"] != STORE_VERSION:
                 raise SchemaError(f"unsupported store version {doc['version']!r}")
             return cls(
-                qe_pubkeys={k: bytes.fromhex(v) for k, v in doc["qe_pubkeys"].items()},
-                gpu_pubkeys={k: bytes.fromhex(v) for k, v in doc["gpu_pubkeys"].items()},
-                accepted_h_td={bytes.fromhex(h) for h in doc["accepted_h_td"]},
-                accepted_h_module={bytes.fromhex(h) for h in doc["accepted_h_module"]},
+                qe_pubkeys={k: hex_bytes(v) for k, v in doc["qe_pubkeys"].items()},
+                gpu_pubkeys={k: hex_bytes(v) for k, v in doc["gpu_pubkeys"].items()},
+                accepted_h_td={hex_bytes(h) for h in doc["accepted_h_td"]},
+                accepted_h_module={hex_bytes(h) for h in doc["accepted_h_module"]},
                 property_refs={
-                    op: {label: {bytes.fromhex(d) for d in digests} for label, digests in labels.items()}
+                    op: {label: {hex_bytes(d) for d in digests} for label, digests in labels.items()}
                     for op, labels in doc["property_refs"].items()
                 },
-                bindings=[(bytes.fromhex(b["plain"]), bytes.fromhex(b["msh"])) for b in doc["bindings"]],
+                bindings=[(hex_bytes(b["plain"]), hex_bytes(b["msh"])) for b in doc["bindings"]],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad reference store document: {exc}") from exc
@@ -117,4 +119,8 @@ class ReferenceStore:
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ReferenceStore":
         with open(path, "r", encoding="utf-8") as f:
-            return cls.from_json(json.load(f))
+            try:
+                doc = json.load(f)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise SchemaError(f"reference store {path} is not JSON: {exc}") from exc
+        return cls.from_json(doc)

@@ -10,7 +10,10 @@ frame follows per path, in order, and holds that entry's bytes: the JSON
 text of a request's model, adapter or tokenizer, or a response's output
 payload. So bulk bytes travel without base64 or JSON string escaping, and
 the prover's decode cache compares a model's text without parsing it. A
-head with no "attached" is a whole message.
+head with no "attached" is a whole message. The client keeps the last
+text it sent for each input name, keyed by the value's marshal snapshot
+(`protocol.input_text`), so an unchanged model is encoded once per
+process, not once per request; what goes on the wire is the same.
 
 A connection may carry any number of messages. A head the server cannot
 understand gets an ERROR frame back, and the connection stays open, as
@@ -46,7 +49,7 @@ from .protocol import (
     AttestationRequest,
     AttestationResponse,
     TdContext,
-    json_text,
+    input_text,
     prover_handle,
 )
 
@@ -260,9 +263,10 @@ def request_over_tcp(
     endpoint: tuple[str, int], request: AttestationRequest, timeout: float = 30.0
 ) -> AttestationResponse:
     """Send one request, its model, adapter and tokenizer attached as JSON
-    text, and wait for its response."""
+    text, and wait for its response. The text comes from `input_text`, so a
+    session that sends one model turn after turn encodes it once."""
     body = request.to_json()
-    body["inputs"] = {name: json_text(value) if name in CACHED_INPUTS else value
+    body["inputs"] = {name: input_text(name, value) if name in CACHED_INPUTS else value
                       for name, value in body["inputs"].items()}
     with socket.create_connection(endpoint, timeout=timeout) as sock:
         send_frame(sock, {"type": MSG_REQUEST, "body": body})

@@ -10,6 +10,7 @@ import pytest
 from palm import cli
 from palm.dataset import unpack_records
 from palm.encoding import sha3_256
+from palm.errors import SchemaError
 from palm.refstore import ReferenceStore
 from palm.transport import serve_background
 
@@ -240,3 +241,45 @@ class TestOperationChoices:
         with pytest.raises(SystemExit) as exc:
             cli.main(["request", "--endpoint", "127.0.0.1:1", "--op", "Distillation"])
         assert exc.value.code == 2
+
+
+def _spaced(text: str) -> str:
+    return " ".join(text[i:i + 2] for i in range(0, len(text), 2)).upper()
+
+
+class TestCanonicalHex:
+    """A digest has one spelling, lowercase hex with no separators, in the
+    reference store and on the command line; any other is refused, exit 2."""
+
+    @pytest.mark.parametrize("digest", ["AB CD", "ABCD", "ab cd", "zz", "abc"])
+    def test_ref_add_refuses_other_spellings(self, provisioned, capsys, digest):
+        store = provisioned / "refstore.json"
+        before = store.read_bytes()
+        assert cli.main(["ref", "add", "--op", "Evaluation", "--label", "h(metric)",
+                         "--digest", digest]) == 2
+        assert capsys.readouterr().err.startswith("error: SchemaError: --digest: ")
+        assert store.read_bytes() == before
+
+    @pytest.mark.parametrize("field", ["accepted_h_td", "property_refs"])
+    def test_store_with_spaced_upper_hex_is_refused(self, provisioned, capsys, field):
+        path = provisioned / "refstore.json"
+        doc = json.loads(path.read_text())
+        if field == "accepted_h_td":
+            doc[field] = [_spaced(h) for h in doc[field]]
+        else:
+            doc[field] = {"Evaluation": {"h(metric)": [_spaced(sha3_256(b"m").hex())]}}
+        with pytest.raises(SchemaError, match="not canonical"):
+            ReferenceStore.from_json(doc)
+        path.write_text(json.dumps(doc))
+        assert cli.main(["ref", "add", "--op", "Evaluation", "--label", "h(metric)",
+                         "--digest", sha3_256(b"x").hex()]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SchemaError: bad reference store document: ")
+        assert "not canonical" in err
+
+    @pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+    def test_store_that_is_not_json_exits_2(self, provisioned, capsys, content):
+        (provisioned / "refstore.json").write_bytes(content)
+        assert cli.main(["ref", "add", "--op", "Evaluation", "--label", "h(metric)",
+                         "--digest", sha3_256(b"x").hex()]) == 2
+        assert "error: SchemaError: reference store " in capsys.readouterr().err

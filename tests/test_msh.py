@@ -1,5 +1,8 @@
 """Multiset hash unit and property tests, checked against a pure-int oracle."""
 
+import os
+import threading
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -326,6 +329,38 @@ def _wait_gone(pid: int, timeout: float = 10.0) -> None:
     raise AssertionError(f"process {pid} still running {timeout}s after SIGKILL")
 
 
+class _Exiting:
+    """A worker process that was killed and has not exited yet: a write to
+    its stdin still succeeds, its stdout reads end of file, and poll()
+    reports it running."""
+
+    pid = -1
+
+    def __init__(self):
+        read, write = os.pipe()
+        self.stdin, self._stdin_reader = open(write, "wb", 0), open(read, "rb", 0)
+        read, write = os.pipe()
+        os.close(write)
+        self.stdout = open(read, "rb", 0)
+
+    def poll(self):
+        return None
+
+    def kill(self):
+        pass
+
+    def wait(self, timeout=None):
+        self._stdin_reader.close()
+        return -9
+
+
+def _exiting_worker(name: str) -> msh._Worker:
+    worker = object.__new__(msh._Worker)
+    worker.name, worker.process = name, _Exiting()
+    worker.unanswered, worker.recv_lock = deque(), threading.Lock()
+    return worker
+
+
 class TestPoolFaults:
     """A worker that dies or answers out of protocol fails its batches with a
     PalmError at once, and the pool serves the next digest with new workers.
@@ -382,6 +417,25 @@ class TestPoolFaults:
             assert not set(pool.pids()) & set(pids)
             with pytest.raises(MshWorkerError, match="exited with code -9"):
                 acc.finalize()
+
+    def test_lost_batch_settles_the_others_before_it_fails(self):
+        """A killed worker whose threads are still exiting takes writes, and
+        poll() reports it running. An accumulator that meets a lost batch
+        reads its other batches before it raises, so a worker that died
+        with them is retired then, not handed the next digest's batch while
+        it exits. Both workers here are such exiting workers."""
+        from palm.errors import MshWorkerError
+
+        with msh.MshPool() as pool:
+            pool.size = 2
+            pool._workers = [_exiting_worker("exiting-0"), _exiting_worker("exiting-1")]
+            acc = MshAccumulator(pool=pool)
+            with mock.patch.object(msh, "FLUSH_RECORDS", 2):
+                acc.insert_many([b"a", b"b", b"c", b"d"])  # one batch to each
+                with pytest.raises(MshWorkerError, match="^exiting-0 exited with code -9"):
+                    acc.finalize()
+                records = [b"e", b"f", b"g", b"h"]  # a batch to each worker
+                assert msh_of_records(records, pool=pool) == msh_of_records(records)
 
     def test_out_of_protocol_reply_fails_the_batch(self):
         from palm.errors import MshWorkerError

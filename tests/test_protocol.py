@@ -1010,6 +1010,25 @@ class TestHostileDocuments:
         with pytest.raises(SchemaError, match="unknown optimization"):
             AttestationRequest.from_json(doc)
 
+    @pytest.mark.parametrize("where", ["request", "response", "measurement set",
+                                       "measurement"])
+    def test_stale_id_opt_key_is_refused(self, fixture, ctx, where):
+        """A document holds only the keys its decoder reads, so a stale
+        label such as a top-level id_opt is refused, not ignored."""
+        req = _optimization(fixture, "stale-key", "quantize")
+        request, response = req.to_json(), prover_handle(req, ctx).to_json()
+        doc = {"request": request, "response": response,
+               "measurement set": response["measurement_set"],
+               "measurement": response["measurement_set"]["h_i"][0]}[where]
+        doc["id_opt"] = "quantize"
+        refused = rf"{where} has keys it is not read for: \['id_opt'\]"
+        if where == "request":
+            with pytest.raises(SchemaError, match=refused):
+                AttestationRequest.from_json(request)
+        else:
+            with pytest.raises(FormatError, match=refused):
+                AttestationResponse.from_json(response)
+
     def test_inputs_must_be_an_object(self, fixture):
         doc = fixture.make_request("inputs").to_json()
         doc["inputs"] = list(doc["inputs"].items())
@@ -1044,14 +1063,13 @@ class TestVerifierBindsOperation:
         assert Verifier(fixture.refstore).verify(response, prune).accepted
 
     def test_relabelled_optimization(self, fixture, ctx, verifier):
-        """A quantize run presented as prune: the echoed request names prune,
-        and so does any unquoted label of the documents. Only the quoted
-        h(idopt) names the optimization that ran."""
+        """A quantize run presented as prune: the echoed request's id_opt
+        names prune. Only the quoted h(idopt) names the optimization that
+        ran."""
         quantize = _optimization(fixture, "relabel", "quantize")
         response = prover_handle(quantize, ctx).to_json()
         request = quantize.to_json()
         request["inputs"] = dict(request["inputs"], id_opt="prune")
-        request["id_opt"] = response["measurement_set"]["id_opt"] = "prune"
         verdict = verifier.verify(AttestationResponse.from_json(response),
                                   AttestationRequest.from_json(request))
         self._assert_malformed_at_binding(verdict)

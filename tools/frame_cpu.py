@@ -7,7 +7,9 @@ the seed, proves each once in this process, then times the transport's own
 code paths against an in-memory socket stand-in, so no kernel or second
 process is measured:
 
-- client encode: `request_over_tcp` from its call to its first read;
+- client encode: `request_over_tcp` from its call to its first read, on a
+  hit (the client's memo holds the text of each cached input,
+  `protocol.input_text`) and on a miss (the memo cleared first);
 - server decode: `recv_frame`, `AttestationRequest.from_json` and the
   decode of the model, adapter and tokenizer inputs through the context's
   decode cache, on a hit (the cache holds the document) and on a miss (a
@@ -37,14 +39,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from palm import Challenge, build_request, transport  # noqa: E402
+from palm import Challenge, build_request, protocol, transport  # noqa: E402
 from palm.encoding import sha3_256  # noqa: E402
 from palm.errors import PalmError  # noqa: E402
 from palm.protocol import AttestationRequest, DecodeCache, TdContext, _Run  # noqa: E402
 from palm.refstore import ReferenceStore  # noqa: E402
 
 CHUNK = 256 * 1024
-CACHED = ("model", "adapter", "tokenizer")
 
 
 class Wire:
@@ -105,7 +106,7 @@ def server_decode(wire_bytes: bytes, ctx: TdContext) -> dict:
     request = AttestationRequest.from_json(message["body"])
     with ExitStack() as handles:
         run = _Run(request, ctx, None, handles)
-        for name in CACHED:
+        for name in protocol.CACHED_INPUTS:
             run[name]
     return message
 
@@ -137,13 +138,16 @@ def measure(request: AttestationRequest, ctx: TdContext, repeats: int) -> dict:
         sizes = {"request_kib": len(request_bytes) / 1024,
                  "response_kib": len(response_bytes) / 1024}
         for _ in range(repeats):
-            wire = Wire(response_bytes)
-            socket.create_connection = lambda endpoint, timeout=None: wire
-            t0 = time.perf_counter_ns()
-            got = transport.request_over_tcp(("frame-cpu", 0), request)
-            t1 = time.perf_counter_ns()
-            assert got == response
-            timed("client_encode_ms", wire.first_read_ns - t0)
+            for outcome in ("miss", "hit"):
+                if outcome == "miss":
+                    protocol._sent_texts.clear()
+                wire = Wire(response_bytes)
+                socket.create_connection = lambda endpoint, timeout=None: wire
+                t0 = time.perf_counter_ns()
+                got = transport.request_over_tcp(("frame-cpu", 0), request)
+                t1 = time.perf_counter_ns()
+                assert got == response
+                timed(f"client_encode_{outcome}_ms", wire.first_read_ns - t0)
             timed("response_decode_ms", t1 - wire.first_read_ns)
 
             t0 = time.perf_counter_ns()
@@ -167,8 +171,9 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=30)
     parser.add_argument("--seed", type=int, default=5)
     args = parser.parse_args()
-    columns = ("client_encode_ms", "server_decode_hit_ms", "server_decode_miss_ms",
-               "response_encode_ms", "response_decode_ms", "request_kib", "response_kib")
+    columns = ("client_encode_hit_ms", "client_encode_miss_ms", "server_decode_hit_ms",
+               "server_decode_miss_ms", "response_encode_ms", "response_decode_ms",
+               "request_kib", "response_kib")
     print("workload     " + "  ".join(columns))
     with tempfile.TemporaryDirectory() as staging:
         for name, request, ctx in shapes(args.seed, staging):
