@@ -99,8 +99,8 @@ def _load_store(args) -> tuple[ReferenceStore, str]:
 
 def _parse_endpoint(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep:
-        raise CliError(f"endpoint must be HOST:PORT, got {text!r}")
+    if not (sep and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise CliError(f"endpoint must be HOST:PORT with a port in 0..65535, got {text!r}")
     return host, int(port)
 
 
@@ -110,7 +110,10 @@ def _parse_chal(text: str) -> Challenge:
     if text == "nonce":
         return Challenge.from_nonce(secrets.token_bytes(32))
     if text.startswith("nonce:"):
-        raw = bytes.fromhex(text[len("nonce:") :])
+        try:
+            raw = hex_bytes(text[len("nonce:") :])
+        except ValueError as exc:
+            raise CliError(f"--chal nonce:<hex> needs lowercase hex: {exc}")
         return Challenge.from_nonce(raw)
     raise CliError(f"--chal must be timestamp, nonce, or nonce:<hex>, got {text!r}")
 

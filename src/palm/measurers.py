@@ -9,11 +9,14 @@ verifier-visible condition, so measurers never fabricate a placeholder. It
 derives each H_O entry "h(x)" as the SHA3 of the output payload x, built
 when the run is measured; only a mapped Preprocessing's MSH(Dpre) and
 MeasurementBinding's tie of two digests are derived by their measurers.
-Dataset inputs are measured according to how the dataset is held: a plain
-SHA3-256 over the file bytes when it was loaded whole (label "h(role)"), or
-the sample-time multiset digest when it is memory-mapped (label
-"MSH(role)"). An operation is named by its key in OP_CODES, which lists
-each operation's labels.
+Model and tokenizer inputs are measured by their `digest`, the SHA3-256 of
+their canonical bytes, which each object takes once, on first use: a model
+or tokenizer that the prover's decode cache keeps is measured once, however
+many requests it serves. Dataset inputs are measured according to how the
+dataset is held: a plain SHA3-256 over the file bytes when it was loaded
+whole (label "h(role)"), or the sample-time multiset digest when it is
+memory-mapped (label "MSH(role)"). An operation is named by its key in
+OP_CODES, which lists each operation's labels.
 
 Every operation on a dataset handle makes one pass over it (_one_pass), so
 a mapped dataset streams into the operation in one exactly-once epoch and
@@ -330,10 +333,10 @@ def measure_training(
         ds_tr, "Dtr", lambda records: train(arch, records, config, tokenizer)
     )
     h_i = [
-        LabeledMeasurement("h(Mar)", sha3_256(ToyModel.empty(arch).serialized_bytes())),
+        LabeledMeasurement("h(Mar)", ToyModel.empty(arch).digest),
         d_entry,
         LabeledMeasurement("h(T)", sha3_256(config.serialized_bytes())),
-        LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
+        LabeledMeasurement("h(Mtok)", tokenizer.digest),
     ]
     return _measured("Training", h_i, gpu, model, {"h(Mtr)": model.serialized_bytes()})
 
@@ -355,13 +358,13 @@ def measure_optimization(
             ds_opt, "Dopt", lambda d_opt: optimize(model, tokenizer, config, id_opt, adp, d_opt)
         )
     h_i = [
-        LabeledMeasurement("h(M)", sha3_256(model.serialized_bytes())),
-        LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
+        LabeledMeasurement("h(M)", model.digest),
+        LabeledMeasurement("h(Mtok)", tokenizer.digest),
         LabeledMeasurement("h(T)", sha3_256(config.serialized_bytes())),
         idopt_entry(id_opt),
     ]
     if adp is not None:
-        h_i.append(LabeledMeasurement("h(Madp)", sha3_256(adp.serialized_bytes())))
+        h_i.append(LabeledMeasurement("h(Madp)", adp.digest))
     if opt_entry is not None:
         h_i.append(opt_entry)
     return _measured("WeightOptimization", h_i, gpu, optimized,
@@ -376,8 +379,8 @@ def measure_evaluation(
 ) -> Measured:
     metric, d_entry = _one_pass(ds_te, "Dte", lambda records: evaluate(model, tokenizer, records))
     h_i = [
-        LabeledMeasurement("h(M)", sha3_256(model.serialized_bytes())),
-        LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
+        LabeledMeasurement("h(M)", model.digest),
+        LabeledMeasurement("h(Mtok)", tokenizer.digest),
         d_entry,
     ]
     return _measured("Evaluation", h_i, gpu, metric, {"h(metric)": metric.encode("ascii")})
@@ -391,8 +394,8 @@ def measure_inference(
 ) -> Measured:
     response = infer(model, tokenizer, query)
     h_i = [
-        LabeledMeasurement("h(M)", sha3_256(model.serialized_bytes())),
-        LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
+        LabeledMeasurement("h(M)", model.digest),
+        LabeledMeasurement("h(Mtok)", tokenizer.digest),
         LabeledMeasurement("h(q)", sha3_256(query)),
     ]
     return _measured("SingleInference", h_i, gpu, response, {"h(r)": response.encode("latin-1")})
@@ -410,8 +413,8 @@ def measure_session_inference(
     new_history = history + ((query, r_bytes),)
     h_i = [
         LabeledMeasurement("h(q)", sha3_256(query)),
-        LabeledMeasurement("h(Mtok)", sha3_256(tokenizer.serialized_bytes())),
-        LabeledMeasurement("h(M)", sha3_256(model.serialized_bytes())),
+        LabeledMeasurement("h(Mtok)", tokenizer.digest),
+        LabeledMeasurement("h(M)", model.digest),
     ]
     return _measured("SessionInference", h_i, gpu, (response, new_history),
                      {"h(r)": r_bytes, "h(H)": serialize_history(new_history)})

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .encoding import lp, u32, u64
+from .encoding import lp, sha3_256, u32, u64
 from .errors import FormatError, MissingDataset, UnknownOptimization
 
 UNK_TOKEN = "<unk>"
@@ -48,8 +48,8 @@ class ToyTokenizer:
     """Static vocabulary mapping token strings to dense ids; id 0 is reserved.
 
     The vocabulary is not changed after construction: the id list, the
-    latin-1 bytes -> id map and the canonical bytes are each built once per
-    tokenizer, when first used."""
+    latin-1 bytes -> id map, the canonical bytes and their digest are each
+    built once per tokenizer, when first used."""
 
     vocab: dict[str, int]
 
@@ -97,6 +97,11 @@ class ToyTokenizer:
     def serialized_bytes(self) -> bytes:
         """u32 entry count, then (length-prefixed token, u32 id) sorted by token."""
         return self._canonical
+
+    @cached_property
+    def digest(self) -> bytes:
+        """h(Mtok): the SHA3-256 of the canonical bytes."""
+        return sha3_256(self.serialized_bytes())
 
     def to_json(self) -> dict:
         return {"vocab": dict(sorted(self.vocab.items()))}
@@ -151,10 +156,10 @@ class ToyModel:
     `ToyModel(kind, {ctx: {}})` serialises its header, so the table keeps it.
     `counts` is the dict form, built when read. The columns are read-only,
     so one model can serve many requests at once, and its canonical bytes
-    are built once, when first asked for.
+    and their digest are built once, when first asked for.
     """
 
-    __slots__ = ("kind", "contexts", "starts", "tokens", "freqs", "_canonical")
+    __slots__ = ("kind", "contexts", "starts", "tokens", "freqs", "_canonical", "_digest")
 
     def __init__(self, kind: str, counts: Optional[dict[int, dict[int, int]]] = None):
         counts = counts or {}
@@ -187,7 +192,8 @@ class ToyModel:
         sorted superset of the rows' context ids, adds contexts with no rows."""
         model = cls.__new__(cls)
         model.kind = kind
-        contexts = np.unique(ctx) if contexts is None else contexts
+        if contexts is None:  # the first id of each run of the sorted context column
+            contexts = ctx[np.r_[True, ctx[1:] != ctx[:-1]][: len(ctx)]]
         model.contexts = contexts.astype(np.uint32, copy=False)
         model.starts = np.append(np.searchsorted(ctx, model.contexts), len(ctx)).astype(np.int64)
         model.tokens = tokens.astype(np.uint32, copy=False)
@@ -260,6 +266,15 @@ class ToyModel:
         words[~header] = entries.reshape(-1)
         self._canonical = b"".join((bytes([_KIND_BYTE[self.kind]]), u32(n_ctx), words))
         return self._canonical
+
+    @property
+    def digest(self) -> bytes:
+        """The SHA3-256 of the canonical bytes: h(M), h(Madp) or h(Mar) of an input."""
+        try:
+            return self._digest
+        except AttributeError:
+            self._digest = sha3_256(self.serialized_bytes())
+            return self._digest
 
     def to_json(self) -> dict:
         return {

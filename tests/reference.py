@@ -120,6 +120,15 @@ def oracle_model_bytes(kind, counts) -> bytes:
     return bytes(out)
 
 
+def oracle_tokenizer_bytes(vocab) -> bytes:
+    """u32 entry count, then (u32-length-prefixed latin-1 token, u32 id) by token bytes."""
+    entries = sorted((tok.encode("latin-1"), tid) for tok, tid in vocab.items())
+    out = bytearray(struct.pack("<I", len(entries)))
+    for tok, tid in entries:
+        out += struct.pack("<I", len(tok)) + tok + struct.pack("<I", tid)
+    return bytes(out)
+
+
 def oracle_predict(kind, counts, context) -> int:
     table = counts.get(0 if kind == "unigram" else context)
     if not table:

@@ -219,6 +219,24 @@ class TestErrors:
         )
         assert code == 2
 
+    def test_request_with_non_hex_nonce_exits_2(self, provisioned, capsys):
+        assert cli.main(["request", "--endpoint", "127.0.0.1:1", "--op", "Preprocessing",
+                         "--dataset", "x.palmds", "--chal", "nonce:zz"]) == 2
+        assert capsys.readouterr().err.startswith("error: --chal nonce:<hex> ")
+
+    @pytest.mark.parametrize("command", ["request", "serve"])
+    @pytest.mark.parametrize("endpoint", ["127.0.0.1:abc", "127.0.0.1:70000", "127.0.0.1:-1",
+                                          "127.0.0.1:", "127.0.0.1"])
+    def test_endpoint_without_a_port_in_range_exits_2(self, provisioned, capsys, command,
+                                                      endpoint):
+        """getaddrinfo would take port 70000 as 4464, and bind would raise
+        OverflowError; neither is reached."""
+        argv = [command, "--endpoint", endpoint]
+        if command == "request":
+            argv += ["--op", "Preprocessing", "--dataset", "x.palmds"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: endpoint must be HOST:PORT ")
+
     def test_verify_without_keygen_exits_2(self, home, tmp_path, capsys):
         bundle = tmp_path / "b.json"
         bundle.write_text("{}")

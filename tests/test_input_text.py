@@ -9,6 +9,7 @@ marshal writes as bytes or refuses is encoded as given. A memo keyed by
 `==` or by `id()` fails them.
 """
 
+import hashlib
 import sys
 import threading
 
@@ -198,3 +199,25 @@ class TestServedSession:
         for turn in range(8):
             request_over_tcp(served, _turn(fixture, model, turn), timeout=30)
         assert calls == [model, fixture.tokenizer.to_json()]
+
+    def test_eight_turns_hash_the_model_and_tokenizer_once(self, fixture, served, monkeypatch):
+        """The prover keeps each decoded input's digest with the object, so
+        h(M) and h(Mtok) are taken on the first turn only."""
+        model = train("bigram", fixture.records, fixture.config, fixture.tokenizer).to_json()
+        inputs = {"model": ToyModel.from_json(model).serialized_bytes(),
+                  "tokenizer": fixture.tokenizer.serialized_bytes()}
+        hashed = []
+        real = hashlib.sha3_256
+
+        def counted(data=b"", *args, **kwargs):
+            hashed.extend(name for name, canonical in inputs.items() if data == canonical)
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha3_256", counted)
+        responses = [request_over_tcp(served, _turn(fixture, model, turn), timeout=30)
+                     for turn in range(8)]
+        assert sorted(hashed) == ["model", "tokenizer"]
+        for response in responses:
+            quoted = {e.label: e.data for e in response.mset.h_i}
+            assert quoted["h(M)"] == real(inputs["model"]).digest()
+            assert quoted["h(Mtok)"] == real(inputs["tokenizer"]).digest()

@@ -1,13 +1,17 @@
 """Measurement-set assembly: label schemas, mode resolution, determinism."""
 
 import hashlib
+import json
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palm import measurers
 from palm import msh
 from palm.dataset import (
+    InMemoryDataset,
     MappedDataset,
     load_in_memory,
     pack_records,
@@ -29,7 +33,11 @@ from palm.measurers import (
     measure_training,
 )
 from palm.msh import msh_of_records
+from palm.protocol import _DECODERS
 from palm.toyops import (
+    MODEL_KINDS,
+    UNK_TOKEN,
+    ToyModel,
     TrainConfig,
     attribute_distribution,
     evaluate,
@@ -41,7 +49,13 @@ from palm.toyops import (
     train,
 )
 
-from reference import oracle_encode, oracle_msh, oracle_preproc
+from reference import (
+    oracle_encode,
+    oracle_model_bytes,
+    oracle_msh,
+    oracle_preproc,
+    oracle_tokenizer_bytes,
+)
 
 
 def labels(group):
@@ -440,6 +454,66 @@ class TestPayloadsOnDemand:
         m = measure_training("bigram", load_in_memory(dataset_path), config, tokenizer)
         assert m.mset.h_o[0].data == sha3_256(m.outputs["h(Mtr)"])
         assert calls.count(True) == 1  # the trained model; the other call is empty Mar
+
+
+counts_tables = st.dictionaries(
+    st.integers(0, 12),
+    st.dictionaries(st.integers(0, 12), st.integers(0, 2**64 - 1), max_size=4),
+    max_size=4,
+)
+vocabularies = st.lists(
+    st.text(st.characters(max_codepoint=255), min_size=1, max_size=3).filter(
+        lambda tok: tok != UNK_TOKEN), unique=True, max_size=6,
+).flatmap(lambda toks: st.permutations(range(len(toks) + 1)).map(
+    lambda ids: dict(zip([UNK_TOKEN, *toks], ids))))
+
+
+def _oracle_sha3(data: bytes) -> bytes:
+    return hashlib.sha3_256(data).digest()
+
+
+def _decoded(name: str, doc: dict, sort_keys: bool):
+    """The input as a prover decodes it from the JSON text it was sent."""
+    return _DECODERS[name](json.loads(json.dumps(doc, sort_keys=sort_keys)), None)
+
+
+class TestInputDigestsMatchOracle:
+    """A model or tokenizer keeps the digest of its canonical bytes, taken on
+    first use; every measurer quotes it, and it is the digest of the bytes
+    the documented format gives, computed apart from palm."""
+
+    @given(kind=st.sampled_from(MODEL_KINDS), counts=counts_tables,
+           adapter=counts_tables, vocab=vocabularies, sort_keys=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_measured_digests(self, kind, counts, adapter, vocab, sort_keys):
+        model = _decoded("model", ToyModel(kind, counts).to_json(), sort_keys)
+        adp = _decoded("adapter", ToyModel(kind, adapter).to_json(), sort_keys)
+        tok = _decoded("tokenizer", {"vocab": vocab}, sort_keys)
+        h_m = _oracle_sha3(oracle_model_bytes(kind, counts))
+        h_adp = _oracle_sha3(oracle_model_bytes(kind, adapter))
+        h_tok = _oracle_sha3(oracle_tokenizer_bytes(vocab))
+        assert (model.digest, adp.digest, tok.digest) == (h_m, h_adp, h_tok)
+        assert model.digest == sha3_256(model.serialized_bytes())
+        assert tok.digest == sha3_256(tok.serialized_bytes())
+
+        records = (b"a\tb", b"\xe9 a\t\xff")
+        ds = InMemoryDataset(records, pack_records(records))
+        config = TrainConfig()
+        runs = [
+            measure_training(kind, ds, config, tok),
+            measure_optimization(model, tok, config, "prune", adp),
+            measure_evaluation(model, tok, ds),
+            measure_inference(model, tok, b"a"),
+            measure_session_inference(model, tok, (), b"a"),
+        ]
+        expected = {"h(M)": h_m, "h(Madp)": h_adp, "h(Mtok)": h_tok,
+                    "h(Mar)": _oracle_sha3(oracle_model_bytes(kind, {}))}
+        seen = set()
+        for m in runs:
+            quoted = {e.label: e.data for e in m.mset.h_i if e.label in expected}
+            assert quoted == {label: expected[label] for label in quoted}
+            seen |= quoted.keys()
+        assert seen == expected.keys()
 
 
 # --------------------------------------------------------------------------

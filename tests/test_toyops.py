@@ -6,8 +6,9 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import palm
@@ -477,6 +478,20 @@ class TestColumnarMatchesOracle:
                 finetune()
         else:
             assert finetune().serialized_bytes() == oracle_model_bytes(kind, expected)
+
+    @given(ctx=st.lists(st.integers(0, 2**32 - 1), max_size=40).map(sorted),
+           dtype=st.sampled_from([np.uint64, np.int64, np.uint32]))
+    @example(ctx=[], dtype=np.uint64)
+    @example(ctx=[7], dtype=np.uint64)
+    @example(ctx=[3, 3, 3], dtype=np.int64)
+    @settings(max_examples=150, deadline=None)
+    def test_contexts_of_sorted_rows_are_their_unique_ids(self, ctx, dtype):
+        ctx = np.array(ctx, dtype)
+        rows = np.arange(len(ctx))
+        model = ToyModel._from_rows("bigram", ctx, rows, rows)
+        assert np.array_equal(model.contexts, np.unique(ctx))
+        assert model.contexts.dtype == np.uint32
+        assert model.starts.tolist() == [*np.searchsorted(ctx, np.unique(ctx)), len(ctx)]
 
     def test_from_json_in_any_order_matches_the_dict_form(self):
         # Keys arrive sorted as strings, so "10" before "9"; an id has one
