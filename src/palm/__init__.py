@@ -23,7 +23,7 @@ _EXPORTS = {
                "unpack_records write_dataset",
     "errors": "DuplicateAccess IncompleteEpoch PalmError",
     "measurers": "GpuToken LabeledMeasurement MeasurementSet",
-    "msh": "DEFAULT_PARAMS MshAccumulator MshDigest MshParams hash_record msh_of_records",
+    "msh": "MshAccumulator MshDigest hash_record msh_of_records",
     "protocol": "AttestationRequest AttestationResponse TdContext Verdict Verifier "
                 "build_request prover_handle",
     "refstore": "ReferenceStore",

@@ -76,14 +76,23 @@ def _staging_dir(args, home: str) -> str:
 
 def _load_context(args, with_gpu: bool = True) -> TdContext:
     home = _home(args)
+    path = _keys_path(home)
     try:
-        with open(_keys_path(home), "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8") as f:
             keys = json.load(f)
     except OSError as exc:
-        raise CliError(f"no keys at {_keys_path(home)} (run `palm keygen`): {exc}")
+        raise CliError(f"no keys at {path} (run `palm keygen`): {exc}")
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CliError(f"keys file {path} is not JSON: {exc}")
+    try:
+        image_bytes = base64.b64decode(keys["image_b64"], validate=True)
+        seed = bytes.fromhex(keys["seed"])
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise CliError(f"keys file {path} needs a hex seed and a base64 image_b64: "
+                       f"{type(exc).__name__}: {exc}")
     return TdContext.create(
-        image_bytes=base64.b64decode(keys["image_b64"]),
-        seed=bytes.fromhex(keys["seed"]),
+        image_bytes=image_bytes,
+        seed=seed,
         staging_dir=_staging_dir(args, home),
         with_gpu=with_gpu,
     )

@@ -6,8 +6,9 @@ class PalmError(Exception):
 
 
 class ParamsMismatch(PalmError):
-    """Multiset-hash accumulators that do not fit together: different parameter
-    sets, or record counts that disagree."""
+    """Multiset-hash record counts that disagree: a companion not given
+    exactly the records its source took, or an epoch that accumulated a
+    different number of records than its dataset holds."""
 
 
 class MshWorkerError(PalmError):

@@ -1,7 +1,7 @@
 """Incremental multiset hash with mergeable accumulators.
 
-A record is mapped by an extendable-output hash to a vector of l limbs in
-Z_n (n = 2^n_log2), and a multiset of records hashes to the componentwise
+A record is mapped by an extendable-output hash to a vector of L limbs in
+Z_n (n = 2^64), and a multiset of records hashes to the componentwise
 sum of those vectors mod n. Insertion order is irrelevant, multiplicities
 matter, and accumulators built over disjoint partitions of a multiset can
 be merged into the accumulator of the union.
@@ -11,10 +11,10 @@ An accumulator folds records in batches. A batch is one buffer plus the
 are joined into a buffer once FLUSH_RECORDS of them are pending, while
 insert_spans folds a buffer the caller already holds as it is, such as a
 run of records read from a dataset file. One function, _hash_spans, turns
-a batch into its l summed limbs: each record's XOF output over exactly
-its bytes, joined into one (records x l) limb matrix and reduced with a
+a batch into its L summed limbs: each record's XOF output over exactly
+its bytes, joined into one (records x L) limb matrix and reduced with a
 single numpy sum in the limb dtype, whose native wraparound is exactly
-the mod-2^n_log2 reduction the construction needs. Addition mod 2^n_log2
+the mod-2^64 reduction the construction needs. Addition mod 2^64
 is associative and commutative, so the batched sum equals the
 record-by-record one bit for bit, and so the batches can be hashed
 anywhere: an accumulator without a pool calls _hash_spans in process, and
@@ -29,8 +29,8 @@ An accumulator can also give a companion: the multiset hash of
 toyops.preproc_record over every record the accumulator takes from then
 on, which is MSH(Dpre) for a Preprocessing pass over a mapped D. Each
 batch the accumulator folds from then on is fused: _hash_spans also
-hashes the records' preprocessed forms and answers 2*l limbs, the second
-l of which go to the companion. The companion is fed the records the
+hashes the records' preprocessed forms and answers 2*L limbs, the second
+L of which go to the companion. The companion is fed the records the
 operation consumed, but only counts them; reading it fails closed unless
 they are exactly as many as its source took.
 """
@@ -38,7 +38,6 @@ they are exactly as many as its source took.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import select
 import signal
@@ -58,10 +57,16 @@ from .toyops import preproc_record
 # Domain-separation prefix absorbed by the XOF before every record.
 HASH_DOMAIN = b"PALM-MSH-v1\x00"
 
-_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
+# The one parameter set, mu4096: an element of m = 4096 bits is L = 64
+# limbs of 64 bits, summed mod 2^64, and a record's limb vector is the
+# first DIGEST_BYTES of its XOF output read as little-endian u64s.
+PARAM_ID = "mu4096"
+L = 64
+DTYPE = np.dtype("<u8")
+DIGEST_BYTES = L * DTYPE.itemsize
 
 # Records inserted one by one that make up a batch; their XOF outputs are
-# 128 KiB at m = 4096.
+# 128 KiB.
 FLUSH_RECORDS = 256
 
 # Batches a pool lets wait on each worker, so memory stays bounded by the
@@ -75,101 +80,52 @@ STOP_TIMEOUT_S = 10.0
 # another thread may have read the replies it was waiting for.
 READY_TIMEOUT_S = 0.05
 
-# A request, framed like its reply by a u32 length: u32 m, u32 record count,
-# u32 fused (0 or 1), one u32 offset and one u32 length per record, then the
-# buffer those spans point into. The reply is the records' l summed limbs,
-# then, when fused, the l summed limbs of their preproc_record outputs.
-_BATCH_HEAD = struct.Struct("<III")
+# A request, framed like its reply by a u32 length: u32 record count, u32
+# fused (0 or 1), one u32 offset and one u32 length per record, then the
+# buffer those spans point into. The reply is the records' L summed limbs,
+# then, when fused, the L summed limbs of their preproc_record outputs.
+_BATCH_HEAD = struct.Struct("<II")
 _FRAME = struct.Struct("<I")
 
 
-@dataclass(frozen=True)
-class MshParams:
-    """Parameter set named by its element bit-length m: l = n_log2 = sqrt(m)
-    limbs of sqrt(m) bits each, labelled "mu<m>"."""
-
-    m: int = 4096
-
-    def __post_init__(self):
-        if self.l * self.l != self.m:
-            raise ValueError(f"m={self.m} is not a perfect square")
-        if self.n_log2 not in _DTYPES:
-            raise ValueError(f"unsupported limb width {self.n_log2} (need one of {sorted(_DTYPES)})")
-
-    @property
-    def l(self) -> int:
-        return math.isqrt(self.m)
-
-    @property
-    def n_log2(self) -> int:
-        return self.l
-
-    @property
-    def param_id(self) -> str:
-        return f"mu{self.m}"
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(_DTYPES[self.n_log2])
-
-    @property
-    def limb_bytes(self) -> int:
-        return self.n_log2 // 8
-
-    @property
-    def digest_bytes(self) -> int:
-        return self.l * self.limb_bytes
+def _xof(record: bytes) -> bytes:
+    """XOF the domain-separated record into its DIGEST_BYTES of limbs."""
+    return hashlib.shake_256(HASH_DOMAIN + record).digest(DIGEST_BYTES)
 
 
-DEFAULT_PARAMS = MshParams()
-
-
-def _xof(record: bytes, n_bytes: int) -> bytes:
-    """XOF the domain-separated record into n_bytes of little-endian limbs."""
-    return hashlib.shake_256(HASH_DOMAIN + record).digest(n_bytes)
-
-
-def _hash_spans(buffer: bytes, spans: np.ndarray, params: MshParams, fused: bool) -> bytes:
-    """The one batch hash: the l summed limbs of the records `buffer` holds
+def _hash_spans(buffer: bytes, spans: np.ndarray, fused: bool) -> bytes:
+    """The one batch hash: the L summed limbs of the records `buffer` holds
     at `spans`, one (offset, length) row per record, then, for a fused
-    batch, the l summed limbs of their preproc_record outputs. The XOF
-    outputs of each stream are joined into one (records x l) limb matrix
+    batch, the L summed limbs of their preproc_record outputs. The XOF
+    outputs of each stream are joined into one (records x L) limb matrix
     and reduced with one numpy sum in the limb dtype, whose wraparound is
-    the mod-2^n_log2 reduction."""
-    n_bytes = params.digest_bytes
+    the mod-2^64 reduction."""
     starts = spans[:, 0]
     ends = starts + spans[:, 1]
     records = [buffer[start:end] for start, end in zip(starts.tolist(), ends.tolist())]
     streams = (records, map(preproc_record, records)) if fused else (records,)
     return b"".join(
-        np.frombuffer(b"".join([_xof(record, n_bytes) for record in stream]), params.dtype)
-        .reshape(-1, params.l).sum(axis=0, dtype=params.dtype).tobytes()
+        np.frombuffer(b"".join([_xof(record) for record in stream]), DTYPE)
+        .reshape(-1, L).sum(axis=0, dtype=DTYPE).tobytes()
         for stream in streams
     )
 
 
-def hash_record(record: bytes, params: MshParams = DEFAULT_PARAMS) -> tuple[int, ...]:
-    """Map one record to its limb vector (little-endian limbs, each < 2^n_log2)."""
-    return tuple(int(x) for x in np.frombuffer(_xof(record, params.digest_bytes), dtype=params.dtype))
+def hash_record(record: bytes) -> tuple[int, ...]:
+    """Map one record to its limb vector (little-endian limbs, each < 2^64)."""
+    return tuple(int(x) for x in np.frombuffer(_xof(record), dtype=DTYPE))
 
 
 @dataclass(frozen=True)
 class MshDigest:
     """Finalized multiset hash: limb vector plus the total record count."""
 
-    params_id: str
     limbs: tuple[int, ...]
     count: int
-    limb_bytes: int = 8
 
     def encode(self) -> bytes:
-        """Canonical encoding: params_id, NUL, u64 count, then LE limbs."""
-        out = bytearray(self.params_id.encode("ascii"))
-        out.append(0)
-        out += u64(self.count)
-        for limb in self.limbs:
-            out += int(limb).to_bytes(self.limb_bytes, "little")
-        return bytes(out)
+        """Canonical encoding: PARAM_ID, NUL, u64 count, then LE u64 limbs."""
+        return b"".join([PARAM_ID.encode("ascii"), b"\0", u64(self.count), *map(u64, self.limbs)])
 
     def hex(self) -> str:
         return self.encode().hex()
@@ -183,11 +139,10 @@ class MshAccumulator:
     state (finalize, merge, limbs) folds the pending batch and, pooled,
     waits for every batch shipped."""
 
-    __slots__ = ("params", "_limbs", "_pending", "_pool", "_shipped", "_companion", "count")
+    __slots__ = ("_limbs", "_pending", "_pool", "_shipped", "_companion", "count")
 
-    def __init__(self, params: MshParams = DEFAULT_PARAMS, pool: Optional["MshPool"] = None):
-        self.params = params
-        self._limbs = np.zeros(params.l, dtype=params.dtype)
+    def __init__(self, pool: Optional["MshPool"] = None):
+        self._limbs = np.zeros(L, dtype=DTYPE)
         self._pending: list[bytes] = []  # records inserted since the last batch
         self._pool = pool
         self._shipped: deque[_Batch] = deque()
@@ -195,7 +150,7 @@ class MshAccumulator:
         self.count = 0
 
     def insert(self, record: bytes) -> "MshAccumulator":
-        """Fold one record in; componentwise add of its limb vector mod 2^n_log2.
+        """Fold one record in; componentwise add of its limb vector mod 2^64.
 
         An immutable copy of the record joins the pending batch, which is
         folded once it holds FLUSH_RECORDS records."""
@@ -229,9 +184,9 @@ class MshAccumulator:
         of every shipped batch already answered, in order."""
         fused = self._companion is not None
         if self._pool is None:
-            self._add(_hash_spans(buffer, spans, self.params, fused))
+            self._add(_hash_spans(buffer, spans, fused))
             return
-        self._shipped.append(self._pool.submit(self.params, buffer, spans, fused))
+        self._shipped.append(self._pool.submit(buffer, spans, fused))
         while self._shipped and self._shipped[0].done():
             self._take()
 
@@ -249,10 +204,10 @@ class MshAccumulator:
             raise
 
     def _add(self, sums: bytes) -> None:
-        sums = np.frombuffer(sums, dtype=self.params.dtype)
-        self._limbs += sums[: self.params.l]
-        if len(sums) > self.params.l:  # a fused batch
-            self._companion._limbs += sums[self.params.l :]
+        sums = np.frombuffer(sums, dtype=DTYPE)
+        self._limbs += sums[:L]
+        if len(sums) > L:  # a fused batch
+            self._companion._limbs += sums[L:]
 
     def _flush(self) -> None:
         """Bring the state up to date with every record inserted so far."""
@@ -267,11 +222,9 @@ class MshAccumulator:
 
     def merge(self, other: "MshAccumulator") -> "MshAccumulator":
         """Combine two accumulators over disjoint sub-multisets into their union."""
-        if self.params != other.params:
-            raise ParamsMismatch(f"{self.params.param_id} != {other.params.param_id}")
         self._flush()
         other._flush()
-        merged = MshAccumulator(self.params)
+        merged = MshAccumulator()
         np.add(self._limbs, other._limbs, out=merged._limbs)
         merged.count = self.count + other.count
         return merged
@@ -279,12 +232,7 @@ class MshAccumulator:
     def finalize(self) -> MshDigest:
         """Snapshot the current state; the accumulator stays usable."""
         self._flush()
-        return MshDigest(
-            params_id=self.params.param_id,
-            limbs=tuple(int(x) for x in self._limbs),
-            count=self.count,
-            limb_bytes=self.params.limb_bytes,
-        )
+        return MshDigest(limbs=tuple(int(x) for x in self._limbs), count=self.count)
 
     @property
     def limbs(self) -> tuple[int, ...]:
@@ -317,7 +265,7 @@ class _Preprocessed(MshAccumulator):
     __slots__ = ("_source", "_base")
 
     def __init__(self, source: MshAccumulator):
-        super().__init__(source.params)
+        super().__init__()
         self._source = source
         self._base = source.count
 
@@ -336,17 +284,10 @@ class _Preprocessed(MshAccumulator):
             raise ParamsMismatch(f"{self.count} records preprocessed of the {taken} taken")
 
 
-def msh_of_records(
-    records: Iterable[bytes],
-    params: MshParams = DEFAULT_PARAMS,
-    pool: Optional["MshPool"] = None,
-    into: Optional[MshAccumulator] = None,
-) -> MshDigest:
+def msh_of_records(records: Iterable[bytes], into: Optional[MshAccumulator] = None) -> MshDigest:
     """Digest a whole record stream in one pass (fold of insert), into a new
-    accumulator or, given `into`, into that one with its params and pool."""
-    if into is None:
-        into = MshAccumulator(params, pool)
-    return into.insert_many(records).finalize()
+    in-process accumulator or, given `into`, into that one with its pool."""
+    return (into or MshAccumulator()).insert_many(records).finalize()
 
 
 # --------------------------------------------------------------------------
@@ -356,13 +297,13 @@ def msh_of_records(
 def _hash_batch(request: bytes) -> bytes:
     """Worker side: _hash_spans of one request, once its spans are checked
     to lie within it."""
-    m, count, fused = _BATCH_HEAD.unpack_from(request)
+    count, fused = _BATCH_HEAD.unpack_from(request)
     base = _BATCH_HEAD.size + 8 * count  # where the buffer starts
     spans = np.frombuffer(request, "<u4", 2 * count, _BATCH_HEAD.size).reshape(-1, 2) + (base, 0)
     ends = spans.sum(axis=1)
     if count and ends.max() > len(request):
         raise ValueError(f"batch of {len(request)} bytes declares a span to {ends.max()}")
-    return _hash_spans(request, spans, MshParams(m), fused)
+    return _hash_spans(request, spans, fused)
 
 
 def _recv(stream) -> bytes:
@@ -408,7 +349,7 @@ class _Batch:
 
     def __init__(self, worker: "_Worker", size: int):
         self.worker = worker
-        self.size = size  # reply bytes expected: l limbs, or 2*l for a fused batch
+        self.size = size  # reply bytes expected: L limbs, or 2*L for a fused batch
         self.reply: Optional[bytes] = None
         self.error: Optional[MshWorkerError] = None
 
@@ -470,11 +411,10 @@ class MshPool:
         with self._lock:
             return [w.process.pid for w in self._workers]
 
-    def submit(self, params: MshParams, buffer: bytes, spans: np.ndarray,
-               fused: bool) -> _Batch:
+    def submit(self, buffer: bytes, spans: np.ndarray, fused: bool) -> _Batch:
         """Ship one batch: the records `buffer` holds at `spans`, one (offset,
         length) row per record. result() gives its _hash_spans reply."""
-        body = [_BATCH_HEAD.pack(params.m, len(spans), fused), spans.astype("<u4").tobytes(), buffer]
+        body = [_BATCH_HEAD.pack(len(spans), fused), spans.astype("<u4").tobytes(), buffer]
         payload = b"".join([_FRAME.pack(sum(map(len, body))), *body])
         while True:
             with self._lock:
@@ -482,7 +422,7 @@ class MshPool:
                 worker = min(self._workers, key=lambda w: len(w.unanswered))
                 batch = waits = None
                 if len(worker.unanswered) < IN_FLIGHT_PER_WORKER:
-                    batch = _Batch(worker, params.digest_bytes * (1 + fused))
+                    batch = _Batch(worker, DIGEST_BYTES * (1 + fused))
                     worker.unanswered.append(batch)
                     try:
                         _send(worker.process.stdin, payload)

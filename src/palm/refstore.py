@@ -23,6 +23,13 @@ from .errors import SchemaError
 STORE_VERSION = 1
 
 
+def _items(value):
+    """The entries of a JSON object; any other value is a TypeError."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, not {type(value).__name__}")
+    return value.items()
+
+
 @dataclass
 class ReferenceStore:
     qe_pubkeys: dict[str, bytes] = field(default_factory=dict)
@@ -98,13 +105,13 @@ class ReferenceStore:
             if doc["version"] != STORE_VERSION:
                 raise SchemaError(f"unsupported store version {doc['version']!r}")
             return cls(
-                qe_pubkeys={k: hex_bytes(v) for k, v in doc["qe_pubkeys"].items()},
-                gpu_pubkeys={k: hex_bytes(v) for k, v in doc["gpu_pubkeys"].items()},
+                qe_pubkeys={k: hex_bytes(v) for k, v in _items(doc["qe_pubkeys"])},
+                gpu_pubkeys={k: hex_bytes(v) for k, v in _items(doc["gpu_pubkeys"])},
                 accepted_h_td={hex_bytes(h) for h in doc["accepted_h_td"]},
                 accepted_h_module={hex_bytes(h) for h in doc["accepted_h_module"]},
                 property_refs={
-                    op: {label: {hex_bytes(d) for d in digests} for label, digests in labels.items()}
-                    for op, labels in doc["property_refs"].items()
+                    op: {label: {hex_bytes(d) for d in digests} for label, digests in _items(labels)}
+                    for op, labels in _items(doc["property_refs"])
                 },
                 bindings=[(hex_bytes(b["plain"]), hex_bytes(b["msh"])) for b in doc["bindings"]],
             )

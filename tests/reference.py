@@ -39,19 +39,6 @@ def oracle_encode(limbs: list[int], count: int) -> bytes:
     return bytes(out)
 
 
-def oracle_msh_params(records, limbs: int, limb_bits: int) -> list[int]:
-    """The same construction for any legal parameter set: the XOF output read
-    as `limbs` little-endian limbs of `limb_bits` bits, summed mod 2^limb_bits."""
-    width = limb_bits // 8
-    mod = 2**limb_bits
-    acc = [0] * limbs
-    for record in records:
-        raw = hashlib.shake_256(PREFIX + record).digest(limbs * width)
-        for i in range(limbs):
-            acc[i] = (acc[i] + int.from_bytes(raw[i * width : (i + 1) * width], "little")) % mod
-    return acc
-
-
 # The bytes bytes.split() splits on: ASCII space, \t, \n, \r, \v and \f.
 WHITESPACE = b" \t\n\r\x0b\x0c"
 

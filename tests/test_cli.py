@@ -301,3 +301,45 @@ class TestCanonicalHex:
         assert cli.main(["ref", "add", "--op", "Evaluation", "--label", "h(metric)",
                          "--digest", sha3_256(b"x").hex()]) == 2
         assert "error: SchemaError: reference store " in capsys.readouterr().err
+
+
+class TestMalformedFiles:
+    """A reference store or keys file of the wrong shape is refused with
+    exit 2 and a message, never a traceback."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("qe_pubkeys", []),
+        ("gpu_pubkeys", "gpu-0"),
+        ("property_refs", []),
+        ("property_refs", {"Training": ["00"]}),
+    ], ids=["qe-list", "gpu-string", "refs-list", "labels-list"])
+    def test_store_section_that_is_not_an_object_exits_2(self, provisioned, capsys, field, value):
+        path = provisioned / "refstore.json"
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        with pytest.raises(SchemaError, match="expected an object"):
+            ReferenceStore.from_json(doc)
+        path.write_text(json.dumps(doc))
+        before = path.read_bytes()
+        assert cli.main(["ref", "add", "--op", "Training", "--label", "h(T)",
+                         "--digest", "00"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: SchemaError: bad reference store document: ")
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("edit", [
+        lambda keys: "{not json",
+        lambda keys: json.dumps({k: v for k, v in keys.items() if k != "seed"}),
+        lambda keys: json.dumps({k: v for k, v in keys.items() if k != "image_b64"}),
+        lambda keys: json.dumps({**keys, "seed": "not hex"}),
+        lambda keys: json.dumps({**keys, "image_b64": "not base64!"}),
+    ], ids=["not-json", "no-seed", "no-image", "seed-not-hex", "image-not-base64"])
+    @pytest.mark.parametrize("command", [["serve", "--endpoint", "127.0.0.1:0"],
+                                         ["bind", "--dataset", "corpus.palmds"]],
+                             ids=["serve", "bind"])
+    def test_malformed_keys_file_exits_2(self, provisioned, capsys, edit, command):
+        path = provisioned / "keys.json"
+        path.write_text(edit(json.loads(path.read_text())))
+        assert cli.main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: keys file {path} ")

@@ -13,51 +13,46 @@ from hypothesis import strategies as st
 from palm import msh
 from palm.errors import ParamsMismatch
 from palm.msh import (
-    DEFAULT_PARAMS,
+    DIGEST_BYTES,
+    DTYPE,
     FLUSH_RECORDS,
     HASH_DOMAIN,
+    PARAM_ID,
+    L,
     MshAccumulator,
     MshDigest,
-    MshParams,
     hash_record,
     msh_of_records,
 )
 from palm.toyops import preproc_record
 
 from reference import (
+    LIMB_BYTES,
+    LIMBS,
     MOD,
+    PREFIX,
     oracle_encode,
     oracle_limbs,
     oracle_msh,
-    oracle_msh_params,
     oracle_preproc,
 )
 
 records_strategy = st.lists(st.binary(min_size=0, max_size=64), max_size=40)
 
 
+def _pooled(records, pool):
+    """The digest of `records` hashed by `pool`'s workers."""
+    return msh_of_records(records, into=MshAccumulator(pool=pool))
+
+
 class TestParams:
-    def test_default_shape(self):
-        assert DEFAULT_PARAMS.m == 4096
-        assert DEFAULT_PARAMS.l == 64
-        assert DEFAULT_PARAMS.n_log2 == 64
-        assert DEFAULT_PARAMS.digest_bytes == 512
-
-    def test_m_must_be_square(self):
-        with pytest.raises(ValueError):
-            MshParams(m=4095)
-
-    def test_smaller_square_params_work(self):
-        params = MshParams(m=256)
-        assert (params.l, params.n_log2, params.param_id) == (16, 16, "mu256")
-        digest = msh_of_records([b"a", b"b"], params)
-        assert len(digest.limbs) == 16
-        assert all(v < 2**16 for v in digest.limbs)
-        assert digest.encode().startswith(b"mu256\x00")
-
-    def test_odd_limb_width_rejected(self):
-        with pytest.raises(ValueError):
-            MshParams(m=576)
+    def test_mu4096_shape(self):
+        """The one parameter set: m = 4096 bits as 64 limbs of 64 bits, the
+        shape the oracle computes independently."""
+        assert PARAM_ID == "mu4096"
+        assert (L, DTYPE, DIGEST_BYTES) == (64, np.dtype("<u8"), 512)
+        assert (L, DTYPE.itemsize, 2 ** (8 * DTYPE.itemsize)) == (LIMBS, LIMB_BYTES, MOD)
+        assert HASH_DOMAIN == PREFIX
 
 
 class TestHashRecord:
@@ -91,11 +86,6 @@ class TestAccumulator:
         assert once != twice
         assert list(twice.limbs) == [(2 * v) % MOD for v in oracle_limbs(b"a")]
 
-    def test_merge_params_mismatch(self):
-        other = MshAccumulator(MshParams(m=256))
-        with pytest.raises(ParamsMismatch):
-            MshAccumulator().merge(other)
-
     def test_finalize_is_a_snapshot(self):
         acc = MshAccumulator().insert(b"a")
         first = acc.finalize()
@@ -112,6 +102,7 @@ class TestAccumulator:
         assert encoded[7:15] == (3).to_bytes(8, "little")
         assert len(encoded) == 7 + 8 + 64 * 8
         assert digest.hex() == encoded.hex()
+        assert MshAccumulator().finalize().encode() == oracle_encode([0] * LIMBS, 0)
 
 
 class TestProperties:
@@ -148,17 +139,9 @@ class TestProperties:
         assert msh_of_records(records) != msh_of_records(records + [records[0]])
 
 
-LEGAL_PARAMS = [
-    MshParams(m=64),
-    MshParams(m=256),
-    MshParams(m=1024),
-    MshParams(m=4096),
-]
-
-
 class TestBatchedReduction:
     """Inserts hash at call time and add up in batches of FLUSH_RECORDS; the
-    batched sum must equal the record-by-record one for every limb width."""
+    batched sum must equal the record-by-record one."""
 
     @given(
         st.lists(st.binary(max_size=24), min_size=1, max_size=8),
@@ -172,24 +155,22 @@ class TestBatchedReduction:
         assert list(digest.limbs) == limbs
         assert digest.count == count == n
 
-    @pytest.mark.parametrize("params", LEGAL_PARAMS, ids=lambda p: p.param_id)
-    def test_every_legal_width_wraps_like_the_oracle(self, params):
-        # Past two flushes, so every limb sum wraps even at 64 bits.
+    def test_wraps_like_the_oracle(self):
+        # Past two flushes, so every limb sum wraps many times over.
         records = [b"r%d" % (i % 700) for i in range(2 * FLUSH_RECORDS + 5)]
-        acc = MshAccumulator(params).insert_many(records)
-        assert list(acc.limbs) == oracle_msh_params(records, params.l, params.n_log2)
+        acc = MshAccumulator().insert_many(records)
+        assert list(acc.limbs) == oracle_msh(records)[0]
         digest = acc.finalize()
         assert digest.count == len(records)
-        assert len(digest.encode()) == len(params.param_id) + 1 + 8 + params.digest_bytes
+        assert len(digest.encode()) == len(PARAM_ID) + 1 + 8 + DIGEST_BYTES
 
-    @pytest.mark.parametrize("params", LEGAL_PARAMS, ids=lambda p: p.param_id)
-    def test_reads_mid_batch_see_every_insert(self, params):
+    def test_reads_mid_batch_see_every_insert(self):
         records = [b"x%d" % i for i in range(FLUSH_RECORDS + 10)]
-        acc = MshAccumulator(params)
+        acc = MshAccumulator()
         for i, record in enumerate(records, start=1):
             acc.insert(record)
             if i in (1, FLUSH_RECORDS - 1, FLUSH_RECORDS, FLUSH_RECORDS + 10):
-                want = oracle_msh_params(records[:i], params.l, params.n_log2)
+                want = oracle_msh(records[:i])[0]
                 assert list(acc.limbs) == want
                 assert list(acc.finalize().limbs) == want
                 assert acc.finalize().count == i
@@ -240,27 +221,25 @@ class TestPooledAccumulator:
     the digest must equal the in-process one and the oracle's, bit for bit."""
 
     @given(
-        st.sampled_from(LEGAL_PARAMS),
         st.lists(st.binary(max_size=40), max_size=40),
         st.integers(min_value=1, max_value=5),
     )
     @settings(max_examples=40, deadline=None)
-    def test_pooled_equals_in_process_equals_oracle(self, msh_pool, params, records, batch):
+    def test_pooled_equals_in_process_equals_oracle(self, msh_pool, records, batch):
         """Batches of one to five records put many batch boundaries, and the
         in-flight cap, inside one digest."""
         with mock.patch.object(msh, "FLUSH_RECORDS", batch):
-            pooled = msh_of_records(records, params, msh_pool)
-        assert pooled == msh_of_records(records, params)
-        assert list(pooled.limbs) == oracle_msh_params(records, params.l, params.n_log2)
+            pooled = _pooled(records, msh_pool)
+        assert pooled == msh_of_records(records)
+        assert list(pooled.limbs) == oracle_msh(records)[0]
         assert pooled.count == len(records)
 
-    @pytest.mark.parametrize("params", LEGAL_PARAMS, ids=lambda p: p.param_id)
     @pytest.mark.parametrize("n", [0, FLUSH_RECORDS - 1, FLUSH_RECORDS, 2 * FLUSH_RECORDS + 5])
-    def test_real_batch_boundaries(self, msh_pool, params, n):
+    def test_real_batch_boundaries(self, msh_pool, n):
         records = [b"r%d" % (i % 700) for i in range(n)]
-        pooled = msh_of_records(records, params, msh_pool)
-        assert pooled == msh_of_records(records, params)
-        assert list(pooled.limbs) == oracle_msh_params(records, params.l, params.n_log2)
+        pooled = _pooled(records, msh_pool)
+        assert pooled == msh_of_records(records)
+        assert list(pooled.limbs) == oracle_msh(records)[0]
 
     def test_reads_and_merges_mid_stream(self, msh_pool):
         records = [b"x%d" % i for i in range(20)]
@@ -285,7 +264,7 @@ class TestPooledAccumulator:
         digests: dict[int, MshDigest] = {}
 
         def digest(t: int) -> None:
-            digests[t] = msh_of_records(streams[t], pool=msh_pool)
+            digests[t] = _pooled(streams[t], msh_pool)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -373,7 +352,7 @@ class TestPoolFaults:
         from palm.errors import MshWorkerError
 
         with msh.MshPool() as pool:
-            assert msh_of_records([b"warm"], pool=pool) == msh_of_records([b"warm"])
+            assert _pooled([b"warm"], pool) == msh_of_records([b"warm"])
             pids = pool.pids()
             acc = MshAccumulator(pool=pool)
             with mock.patch.object(msh, "FLUSH_RECORDS", 2):
@@ -386,7 +365,7 @@ class TestPoolFaults:
                     acc.finalize()
             for pid in pids:
                 _wait_gone(pid)
-            assert msh_of_records([b"a", b"b"], pool=pool) == msh_of_records([b"a", b"b"])
+            assert _pooled([b"a", b"b"], pool) == msh_of_records([b"a", b"b"])
             assert not set(pool.pids()) & set(pids)
 
     def test_workers_killed_before_they_are_reaped_are_replaced(self):
@@ -400,7 +379,7 @@ class TestPoolFaults:
         from palm.errors import MshWorkerError
 
         with msh.MshPool() as pool:
-            assert msh_of_records([b"warm"], pool=pool) == msh_of_records([b"warm"])
+            assert _pooled([b"warm"], pool) == msh_of_records([b"warm"])
             pids = pool.pids()
             acc = MshAccumulator(pool=pool)
             with mock.patch.object(msh, "FLUSH_RECORDS", 2):
@@ -413,7 +392,7 @@ class TestPoolFaults:
                 _wait_gone(pid)
                 with open(f"/proc/{pid}/stat") as f:
                     assert f.read().rsplit(")", 1)[1].split()[0] == "Z"
-            assert msh_of_records([b"a", b"b"], pool=pool) == msh_of_records([b"a", b"b"])
+            assert _pooled([b"a", b"b"], pool) == msh_of_records([b"a", b"b"])
             assert not set(pool.pids()) & set(pids)
             with pytest.raises(MshWorkerError, match="exited with code -9"):
                 acc.finalize()
@@ -435,17 +414,17 @@ class TestPoolFaults:
                 with pytest.raises(MshWorkerError, match="^exiting-0 exited with code -9"):
                     acc.finalize()
                 records = [b"e", b"f", b"g", b"h"]  # a batch to each worker
-                assert msh_of_records(records, pool=pool) == msh_of_records(records)
+                assert _pooled(records, pool) == msh_of_records(records)
 
     def test_out_of_protocol_reply_fails_the_batch(self):
         from palm.errors import MshWorkerError
 
         with msh.MshPool() as pool:
-            batch = pool.submit(LEGAL_PARAMS[0], *_batch([b"x"]), False)  # answers 8 bytes
-            batch.size = DEFAULT_PARAMS.digest_bytes  # but 512 are expected
-            with pytest.raises(MshWorkerError, match="answered 8 bytes"):
+            batch = pool.submit(*_batch([b"x"]), False)  # answers 512 bytes
+            batch.size = 8  # but 8 are expected
+            with pytest.raises(MshWorkerError, match="answered 512 bytes, not 8"):
                 pool.result(batch)
-            assert msh_of_records([b"y"], pool=pool) == msh_of_records([b"y"])
+            assert _pooled([b"y"], pool) == msh_of_records([b"y"])
 
     def test_stopped_worker_does_not_hold_up_the_others(self):
         """Batches go to the worker holding the fewest, and a sender that
@@ -458,7 +437,7 @@ class TestPoolFaults:
         with msh.MshPool() as pool:
             if pool.size < 2:
                 pytest.skip("needs two workers")
-            assert msh_of_records([b"warm"], pool=pool) == msh_of_records([b"warm"])
+            assert _pooled([b"warm"], pool) == msh_of_records([b"warm"])
             stopped = pool.pids()[0]
             records = [b"r%d" % i for i in range(40)]  # 20 batches of two
             acc = MshAccumulator(pool=pool)
@@ -479,7 +458,7 @@ class TestPoolFaults:
         import os
 
         pool = msh.MshPool()
-        msh_of_records([b"z"], pool=pool)
+        _pooled([b"z"], pool)
         pids = pool.pids()
         assert len(pids) == pool.size
         pool.close()
@@ -503,12 +482,12 @@ class TestPoolFaults:
         script.write_text(textwrap.dedent(f"""\
             import sys
             sys.path.insert(0, {os.path.dirname(os.path.dirname(msh.__file__))!r})
-            from palm.msh import MshPool, msh_of_records
+            from palm.msh import MshAccumulator, MshPool, msh_of_records
             with open({str(log)!r}, "a") as f:
                 f.write("ran\\n")
             records = [b"r%d" % i for i in range(600)]
             with MshPool() as pool:
-                print(msh_of_records(records, pool=pool) == msh_of_records(records))
+                print(msh_of_records(records, into=MshAccumulator(pool)) == msh_of_records(records))
             """))
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
@@ -528,10 +507,10 @@ def _batch(records):
     return b"".join(records), np.column_stack((np.cumsum(lengths) - lengths, lengths))
 
 
-def _fused(records, pool, params=DEFAULT_PARAMS):
+def _fused(records, pool):
     """(MSH(D), MSH(Dpre)) the way mapped Preprocessing takes them: each
     record into the source, then into the source's companion."""
-    source = MshAccumulator(params, pool)
+    source = MshAccumulator(pool=pool)
     companion = source.companion()
     for record in records:
         source.insert(record)
@@ -546,20 +525,18 @@ EDGE_RECORDS = st.sampled_from([b"", b" ", b" \t\n\r\x0b\x0c", b"  Mixed\tCASE  
 
 class TestFusedCompanion:
     @given(
-        st.sampled_from(LEGAL_PARAMS),
         st.sampled_from([0, 1, FLUSH_RECORDS - 1, FLUSH_RECORDS, FLUSH_RECORDS + 1,
                          2 * FLUSH_RECORDS + 1]),
         st.lists(st.binary(max_size=40) | EDGE_RECORDS, min_size=1, max_size=6),
     )
     @settings(max_examples=30, deadline=None)
-    def test_pooled_equals_in_process_equals_oracle(self, msh_pool, params, n, palette):
+    def test_pooled_equals_in_process_equals_oracle(self, msh_pool, n, palette):
         records = [palette[i % len(palette)] for i in range(n)]
-        pooled = _fused(records, msh_pool, params)
-        assert pooled == _fused(records, None, params)
+        pooled = _fused(records, msh_pool)
+        assert pooled == _fused(records, None)
         d, d_pre = pooled
-        assert list(d.limbs) == oracle_msh_params(records, params.l, params.n_log2)
-        assert list(d_pre.limbs) == oracle_msh_params(
-            [oracle_preproc(r) for r in records], params.l, params.n_log2)
+        assert list(d.limbs) == oracle_msh(records)[0]
+        assert list(d_pre.limbs) == oracle_msh([oracle_preproc(r) for r in records])[0]
         assert d.count == d_pre.count == n
 
     @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
@@ -593,29 +570,28 @@ class TestFusedCompanion:
         """A worker answers with _hash_spans, the function an accumulator
         without a pool calls: the two replies are the same bytes."""
         records = [b"One  Two", b"", b"THREE"]
-        reply = msh_pool.result(msh_pool.submit(DEFAULT_PARAMS, *_batch(records), True))
-        assert len(reply) == 2 * DEFAULT_PARAMS.digest_bytes
+        reply = msh_pool.result(msh_pool.submit(*_batch(records), True))
+        assert len(reply) == 2 * DIGEST_BYTES
         limbs = [int.from_bytes(reply[i:i + 8], "little") for i in range(0, len(reply), 8)]
         assert limbs[:64] == oracle_msh(records)[0]
         assert limbs[64:] == oracle_msh(map(preproc_record, records))[0]
         buffer, spans = _batch(records + [b" \t\n", b"Q" * 300])
-        for params in LEGAL_PARAMS:
-            for fused in (False, True):
-                reply = msh_pool.result(msh_pool.submit(params, buffer, spans, fused))
-                assert len(reply) == params.digest_bytes * (1 + fused)
-                assert reply == msh._hash_spans(buffer, spans, params, fused), (params, fused)
+        for fused in (False, True):
+            reply = msh_pool.result(msh_pool.submit(buffer, spans, fused))
+            assert len(reply) == DIGEST_BYTES * (1 + fused)
+            assert reply == msh._hash_spans(buffer, spans, fused), fused
 
 
 class _Unflagged:
     """The batch header as the parent packs it, with the fused flag cleared:
-    the worker, which reads the real header, answers l limbs only."""
+    the worker, which reads the real header, answers L limbs only."""
 
     def __init__(self, real):
         self.real = real
         self.size = real.size
 
-    def pack(self, m, count, fused):
-        return self.real.pack(m, count, 0)
+    def pack(self, count, fused):
+        return self.real.pack(count, 0)
 
 
 class TestFusedPoolFaults:
@@ -661,7 +637,7 @@ class TestFusedPoolFaults:
     def test_l_limbs_for_a_fused_batch_fail(self):
         from palm.errors import MshWorkerError
 
-        n = DEFAULT_PARAMS.digest_bytes
+        n = DIGEST_BYTES
         with msh.MshPool() as pool:
             assert _fused([b"warm"], pool) == _fused([b"warm"], None)
             with mock.patch.object(msh, "_BATCH_HEAD", _Unflagged(msh._BATCH_HEAD)):
