@@ -129,8 +129,7 @@ def _parse_chal(text: str) -> Challenge:
 
 def _emit(args, doc: dict, human: str) -> None:
     if args.json:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(human)
 
@@ -213,12 +212,10 @@ def cmd_request(args) -> int:
     bundle = {"request": request.to_json(), "response": response.to_json()}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(bundle, f, indent=2, sort_keys=True)
-            f.write("\n")
+            print(json.dumps(bundle, indent=2, sort_keys=True), file=f)
         _emit(args, {"out": args.out, "op": args.op}, f"response bundle written to {args.out}")
     else:
-        json.dump(bundle, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        print(json.dumps(bundle, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -278,12 +275,7 @@ def cmd_adversary(args) -> int:
     with tempfile.TemporaryDirectory(prefix="palm-adv-") as workdir:
         fixture = build_clean_fixture(workdir)
         if args.scenario == "all":
-            rows = []
-            all_defended = True
-            for scenario in SCENARIOS:
-                outcome = adversary_run(scenario, fixture)
-                rows.append(outcome)
-                all_defended = all_defended and outcome.defended
+            rows = [adversary_run(scenario, fixture) for scenario in SCENARIOS]
             baseline = clean_run(fixture)
             doc = {
                 "scenarios": [
@@ -304,7 +296,8 @@ def cmd_adversary(args) -> int:
             ]
             lines.append(f"  {'(clean baseline)':28s} {baseline.result}")
             _emit(args, doc, "adversary sweep:\n" + "\n".join(lines))
-            return EXIT_OK if all_defended and baseline.accepted else EXIT_REJECT
+            defended = all(o.defended for o in rows)
+            return EXIT_OK if defended and baseline.accepted else EXIT_REJECT
         outcome = adversary_run(args.scenario, fixture)
         doc = {
             "scenario": outcome.scenario,

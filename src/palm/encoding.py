@@ -72,9 +72,6 @@ class Reader:
     def lp(self) -> bytes:
         return self.take(self.u32())
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
     def expect_end(self) -> None:
-        if not self.done():
+        if self.pos != len(self.data):
             raise FormatError(f"{len(self.data) - self.pos} trailing byte(s)")

@@ -18,6 +18,11 @@ whole (label "h(role)"), or the sample-time multiset digest when it is
 memory-mapped (label "MSH(role)"). An operation is named by its key in
 OP_CODES, which lists each operation's labels.
 
+A set has one encoding, serialized_bytes: the bytes whose SHA3 a quote
+binds, and the bytes a response carries. MeasurementSet.from_bytes is the
+one parser of them, and it accepts only bytes it would write back
+unchanged.
+
 Every operation on a dataset handle makes one pass over it (_one_pass), so
 a mapped dataset streams into the operation in one exactly-once epoch and
 no copy of it is built; Training's epochs scale the counts of that pass.
@@ -48,7 +53,7 @@ from .dataset import (
     pack_records,
     record_spans,
 )
-from .encoding import check_keys, hex_bytes, lp, sha3_256, u32
+from .encoding import Reader, lp, sha3_256, u32
 from .errors import FormatError, IncompleteEpoch
 from .msh import MshAccumulator, MshDigest, msh_of_records
 from .toyops import (
@@ -83,6 +88,8 @@ OP_CODES = {                     # H_I                                  H_O
     "SessionInference": 8,       # [h(q), h(Mtok), h(M)]                [h(r), h(H)]
 }
 
+_OP_NAMES = {code: name for name, code in OP_CODES.items()}
+
 GPU_LABEL = "GPU_att"
 BINDING_LABEL = "h(h(D)||MSH(D))"
 
@@ -100,13 +107,6 @@ class LabeledMeasurement:
             raise ValueError(f"label {self.label!r} is not ASCII text")
         if not self.data:
             raise ValueError(f"empty measurement bytes for {self.label!r}")
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "LabeledMeasurement":
-        """The entry a {"label", "hex"} object describes; a fault is a
-        KeyError, TypeError or ValueError."""
-        check_keys(doc, ("label", "hex"), "measurement")
-        return cls(doc["label"], hex_bytes(doc["hex"]))
 
 
 @dataclass(frozen=True)
@@ -134,24 +134,22 @@ class MeasurementSet:
     def digest(self) -> bytes:
         return sha3_256(self.serialized_bytes())
 
-    def to_json(self) -> dict:
-        return {
-            "op": self.op,
-            "h_i": [{"label": e.label, "hex": e.data.hex()} for e in self.h_i],
-            "h_o": [{"label": e.label, "hex": e.data.hex()} for e in self.h_o],
-        }
-
     @classmethod
-    def from_json(cls, doc: dict) -> "MeasurementSet":
-        try:
-            check_keys(doc, ("op", "h_i", "h_o"), "measurement set")
-            h_i, h_o = (
-                tuple(LabeledMeasurement.from_json(e) for e in doc[group])
-                for group in ("h_i", "h_o")
-            )
-            return cls(doc["op"], h_i, h_o)
-        except (KeyError, TypeError, ValueError) as exc:
+    def from_bytes(cls, data: bytes) -> "MeasurementSet":
+        """The set whose serialized_bytes are `data`. An unknown op code, a
+        truncated count or entry, a label that is not ASCII, empty data or
+        a trailing byte is a FormatError, so each set has one encoding."""
+        reader = Reader(data)
+        op = _OP_NAMES.get(reader.take(1)[0])
+        if op is None:
+            raise FormatError(f"bad measurement set: unknown op code {data[0]}")
+        try:  # latin-1 maps each byte to one character, ASCII to itself
+            groups = [tuple(LabeledMeasurement(reader.lp().decode("latin-1"), reader.lp())
+                            for _ in range(reader.u32())) for _ in ("h_i", "h_o")]
+        except ValueError as exc:
             raise FormatError(f"bad measurement set: {exc}") from exc
+        reader.expect_end()
+        return cls(op, *groups)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,13 @@ An initiator builds a request naming an operation, its inputs, and a
 challenge. The prover runs the operation inside its simulated trust
 domain, binds the resulting measurement set and the challenge into a
 signed quote, and returns quote + measurement set + (optionally) the
-output payloads. The verifier is non-interactive: its only inputs are
-that response, the echoed request, and the trusted authority's reference
-store. It runs a fixed check pipeline and reports every check it ran.
+output payloads. A response document carries each of them as canonical
+base64 of bytes, the measurement set as the very bytes whose SHA3 the
+quote binds (MeasurementSet.serialized_bytes), read back by the one
+strict parser MeasurementSet.from_bytes. The verifier is non-interactive:
+its only inputs are that response, the echoed request, and the trusted
+authority's reference store. It runs a fixed check pipeline and reports
+every check it ran.
 
 Each operation is one entry of the OPS table: the inputs a request must and
 may carry, and the measurer call that runs it. A request checks itself
@@ -456,7 +460,8 @@ def _b64(text: str) -> bytes:
 @dataclass(frozen=True)
 class AttestationResponse:
     """The quote, the measurement set it binds (a GPU token, when there is
-    one, is its GPU_att entry), and the outputs."""
+    one, is its GPU_att entry), and the outputs. A document holds each as
+    canonical base64, the set as its serialized bytes."""
 
     quote: bytes
     mset: MeasurementSet
@@ -465,7 +470,7 @@ class AttestationResponse:
     def to_json(self) -> dict:
         return {
             "quote": base64.b64encode(self.quote).decode("ascii"),
-            "measurement_set": self.mset.to_json(),
+            "measurement_set": base64.b64encode(self.mset.serialized_bytes()).decode("ascii"),
             "outputs": None
             if self.outputs is None
             else {k: base64.b64encode(v).decode("ascii") for k, v in self.outputs.items()},
@@ -483,7 +488,7 @@ class AttestationResponse:
                 raise TypeError(f"outputs must be an object, not {type(outputs).__name__}")
             return cls(
                 quote=_b64(doc["quote"]),
-                mset=MeasurementSet.from_json(doc["measurement_set"]),
+                mset=MeasurementSet.from_bytes(_b64(doc["measurement_set"])),
                 outputs=None
                 if outputs is None
                 else {k: v if isinstance(v, bytes) else _b64(v) for k, v in outputs.items()},

@@ -5,7 +5,8 @@ and GPU public keys, the accepted trust-domain and module measurements,
 expected digest values per (operation, label), and plain/multiset binding
 pairs. Digests are canonical hex (lowercase, no separators) so the file
 diffs and audits cleanly; loading and saving round-trip losslessly, and
-any other spelling of a digest is a SchemaError.
+any other spelling of a digest, a key no field is read from, or an object
+where an array belongs is a SchemaError. A save replaces the file whole.
 """
 
 from __future__ import annotations
@@ -17,17 +18,19 @@ from typing import Optional
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
-from .encoding import hex_bytes
+from .encoding import check_keys, hex_bytes
 from .errors import SchemaError
 
 STORE_VERSION = 1
 
 
-def _items(value):
-    """The entries of a JSON object; any other value is a TypeError."""
-    if not isinstance(value, dict):
-        raise TypeError(f"expected an object, not {type(value).__name__}")
-    return value.items()
+def _json(kind: type, value):
+    """`value` when it is a JSON object (kind dict) or array (kind list);
+    any other value is a TypeError."""
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "an array"
+        raise TypeError(f"expected {what}, not {type(value).__name__}")
+    return value
 
 
 @dataclass
@@ -102,26 +105,41 @@ class ReferenceStore:
     @classmethod
     def from_json(cls, doc: dict) -> "ReferenceStore":
         try:
+            check_keys(doc, tuple(cls().to_json()), "reference store")
             if doc["version"] != STORE_VERSION:
                 raise SchemaError(f"unsupported store version {doc['version']!r}")
+            bindings = _json(list, doc["bindings"])
+            for binding in bindings:
+                check_keys(binding, ("plain", "msh"), "binding")
             return cls(
-                qe_pubkeys={k: hex_bytes(v) for k, v in _items(doc["qe_pubkeys"])},
-                gpu_pubkeys={k: hex_bytes(v) for k, v in _items(doc["gpu_pubkeys"])},
-                accepted_h_td={hex_bytes(h) for h in doc["accepted_h_td"]},
-                accepted_h_module={hex_bytes(h) for h in doc["accepted_h_module"]},
+                qe_pubkeys={k: hex_bytes(v) for k, v in _json(dict, doc["qe_pubkeys"]).items()},
+                gpu_pubkeys={k: hex_bytes(v) for k, v in _json(dict, doc["gpu_pubkeys"]).items()},
+                accepted_h_td={hex_bytes(h) for h in _json(list, doc["accepted_h_td"])},
+                accepted_h_module={hex_bytes(h) for h in _json(list, doc["accepted_h_module"])},
                 property_refs={
-                    op: {label: {hex_bytes(d) for d in digests} for label, digests in _items(labels)}
-                    for op, labels in _items(doc["property_refs"])
+                    op: {label: {hex_bytes(d) for d in _json(list, digests)}
+                         for label, digests in _json(dict, labels).items()}
+                    for op, labels in _json(dict, doc["property_refs"]).items()
                 },
-                bindings=[(hex_bytes(b["plain"]), hex_bytes(b["msh"])) for b in doc["bindings"]],
+                bindings=[(hex_bytes(b["plain"]), hex_bytes(b["msh"])) for b in bindings],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad reference store document: {exc}") from exc
 
     def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        """Replace the store whole or not at all: the document is written
+        to a new file beside it, flushed to disk, and renamed over it."""
+        tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+        f = open(tmp, "x", encoding="utf-8")
+        try:
+            with f:
+                f.write(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ReferenceStore":

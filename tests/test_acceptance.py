@@ -34,7 +34,7 @@ from palm.attestation import (
     qe_sign_quote,
 )
 from palm.dataset import write_dataset
-from palm.encoding import sha3_256, u64
+from palm.encoding import lp, sha3_256, u32, u64
 from palm.measurers import LabeledMeasurement, MeasurementSet
 from palm.msh import MshAccumulator, hash_record
 from palm.protocol import (
@@ -80,9 +80,14 @@ FROZEN_SHA256 = {
     # stdout of `palm --json adversary all`
     "adversary_all_json": "138b4f42f2f42b8d2f0c89a4ce21022b3a76e838b8bca5dbad0980770882bf6c",
     # canonical_bytes() of every build_env response, in request order
-    "pipeline_responses": "46606ab96224b2c259a911296782d6c925a4b529ffe756ee05900ac088122cd7",
+    "pipeline_responses": "a126cf5aaff1912e10048587c3e1b5f30f53fe8d49680999e76df0291de686fb",
     # the same for the dataset operations in mapped mode (remapped)
-    "pipeline_responses_mapped": "1d0a6b8717f62a7893fd5a1ae4e86807cb33b446f94aac35075be09b56ef2747",
+    "pipeline_responses_mapped": "bfe38a75bf1643b0f1eeec04f69449a1185e0a4f5914315254a9e1eae66c964c",
+    # evidence_bytes() of every build_env response, in request order: the
+    # bytes a verifier judges, whatever document carries them
+    "pipeline_evidence": "b6a000091a009b108592e46e50a2a2de66fc8c053cfda09e43c6d9327378c8dd",
+    # the same for the dataset operations in mapped mode (remapped)
+    "pipeline_evidence_mapped": "367a328d3390c653106b1f99b66e396cbcab783631150e0ee758e06dd5ef449e",
 }
 
 
@@ -482,6 +487,30 @@ def test_9_pipeline_determinism(tmp_path):
         blob_b = prover_handle(env_b.requests[op], env_b.ctx).canonical_bytes()
         assert blob_a == blob_b, f"{op} responses diverge across identical runs"
         assert env_a.requests[op].to_json() == env_b.requests[op].to_json()
+
+
+def evidence_bytes(response: AttestationResponse) -> bytes:
+    """The quote, the measurement set's bytes and the outputs sorted by
+    label, each length-prefixed: what a response states, in no document."""
+    out = lp(response.quote) + lp(response.mset.serialized_bytes())
+    if response.outputs is None:
+        return out + b"\0"
+    out += b"\1" + u32(len(response.outputs))
+    for label, payload in sorted(response.outputs.items()):
+        out += lp(label.encode("ascii")) + lp(payload)
+    return out
+
+
+def test_9_evidence_is_frozen(tmp_path):
+    """What the responses state, pinned apart from how a document encodes it."""
+    env = build_env(str(tmp_path))
+    inmem, mapped = hashlib.sha256(), hashlib.sha256()
+    for op, req in env.requests.items():
+        inmem.update(evidence_bytes(prover_handle(req, env.ctx)))
+        if op in env.dataset_names:
+            mapped.update(evidence_bytes(prover_handle(remapped(req, op), env.ctx)))
+    assert inmem.hexdigest() == FROZEN_SHA256["pipeline_evidence"]
+    assert mapped.hexdigest() == FROZEN_SHA256["pipeline_evidence_mapped"]
 
 
 def test_9_responses_are_frozen(tmp_path):

@@ -96,9 +96,13 @@ class TestDatasetCommands:
         assert code == 2
 
 
-def _relabelled(label):
+def _relabelled(char):
+    """The bundle with the first byte of its set's first label made `char`
+    (after the op code, the H_I count and the label's length)."""
     def hostile(doc):
-        doc["response"]["measurement_set"]["h_i"][0]["label"] = label
+        raw = bytearray(base64.b64decode(doc["response"]["measurement_set"]))
+        raw[1 + 4 + 4] = ord(char)
+        doc["response"]["measurement_set"] = base64.b64encode(raw).decode("ascii")
         return doc
     return hostile
 
@@ -106,8 +110,8 @@ def _relabelled(label):
 # A bundle file `palm verify` must refuse with exit 2: each turns a clean
 # bundle into a hostile one.
 HOSTILE_BUNDLES = [
-    *(pytest.param(_relabelled(label), "is not ASCII text", id=repr(label))
-      for label in (7, "é")),
+    *(pytest.param(_relabelled(char), "is not ASCII text", id=repr(char))
+      for char in ("é", "\x80")),
     *(pytest.param(lambda doc, value=value: value, "bad bundle", id=repr(value))
       for value in ([], "x")),
 ]
@@ -303,6 +307,33 @@ class TestCanonicalHex:
         assert "error: SchemaError: reference store " in capsys.readouterr().err
 
 
+class TestStoreSave:
+    def test_failed_replace_keeps_the_old_store(self, provisioned, monkeypatch):
+        path = provisioned / "refstore.json"
+        before, listing = path.read_bytes(), sorted(os.listdir(provisioned))
+        store = ReferenceStore.load(path)
+        store.add_property_ref("Training", "h(T)", b"\x00")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            store.save(path)
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(provisioned)) == listing
+        assert ReferenceStore.load(path).to_json() == json.loads(before)
+
+    def test_save_round_trips(self, provisioned):
+        path = provisioned / "refstore.json"
+        listing = sorted(os.listdir(provisioned))
+        store = ReferenceStore.load(path)
+        store.add_property_ref("Training", "h(T)", b"\x00")
+        store.save(path)
+        assert ReferenceStore.load(path) == store
+        assert sorted(os.listdir(provisioned)) == listing
+
+
 class TestMalformedFiles:
     """A reference store or keys file of the wrong shape is refused with
     exit 2 and a message, never a traceback."""
@@ -314,10 +345,28 @@ class TestMalformedFiles:
         ("property_refs", {"Training": ["00"]}),
     ], ids=["qe-list", "gpu-string", "refs-list", "labels-list"])
     def test_store_section_that_is_not_an_object_exits_2(self, provisioned, capsys, field, value):
-        path = provisioned / "refstore.json"
-        doc = json.loads(path.read_text())
-        doc[field] = value
-        with pytest.raises(SchemaError, match="expected an object"):
+        self._refused(provisioned, capsys, {field: value}, "expected an object")
+
+    @pytest.mark.parametrize("edit,refused", [
+        ({"accepted_h_td": {"ab": 1}}, "expected an array"),
+        ({"accepted_h_module": {"ab": 1}}, "expected an array"),
+        ({"property_refs": {"Training": {"h(T)": {"00": 1}}}}, "expected an array"),
+        ({"bindings": {"plain": "00", "msh": "00"}}, "expected an array"),
+        ({"extra": 5}, r"reference store has keys it is not read for: \['extra'\]"),
+        ({"bindings": [{"plain": "00", "msh": "00", "x": 1}]},
+         r"binding has keys it is not read for: \['x'\]"),
+    ], ids=["td-object", "module-object", "digests-object", "bindings-object", "extra-key",
+            "binding-extra-key"])
+    def test_store_of_another_encoding_exits_2(self, provisioned, capsys, edit, refused):
+        """A store document has one encoding: arrays are arrays, and every
+        key is one a field is read from."""
+        self._refused(provisioned, capsys, edit, refused)
+
+    @staticmethod
+    def _refused(home, capsys, edit, refused):
+        path = home / "refstore.json"
+        doc = {**json.loads(path.read_text()), **edit}
+        with pytest.raises(SchemaError, match=refused):
             ReferenceStore.from_json(doc)
         path.write_text(json.dumps(doc))
         before = path.read_bytes()

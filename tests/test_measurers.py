@@ -18,10 +18,12 @@ from palm.dataset import (
     tamper_record,
     write_dataset,
 )
-from palm.encoding import sha3_256
+from palm.encoding import lp, sha3_256, u32
 from palm.errors import DuplicateAccess, FormatError, IncompleteEpoch, UnknownOptimization
 from palm.measurers import (
+    OP_CODES,
     GpuToken,
+    LabeledMeasurement,
     MeasurementSet,
     measure_attribute_distribution,
     measure_binding,
@@ -269,10 +271,15 @@ class TestSessionInference:
         assert m1.mset.h_i[1:] == m2.mset.h_i[1:]
 
 
+ENTRIES = st.lists(
+    st.builds(LabeledMeasurement, st.text(st.characters(max_codepoint=127), max_size=12),
+              st.binary(min_size=1, max_size=40)),
+    max_size=4,
+).map(tuple)
+
+
 class TestMeasurementSetEncoding:
     def test_serialized_layout(self):
-        from palm.measurers import LabeledMeasurement
-
         mset = MeasurementSet(
             "SingleInference",
             (LabeledMeasurement("h(M)", b"\xaa" * 32),),
@@ -284,9 +291,43 @@ class TestMeasurementSetEncoding:
         assert raw[5:9] == (4).to_bytes(4, "little")
         assert raw[9:13] == b"h(M)"
 
-    def test_json_round_trip(self, model, tokenizer):
+    def test_bytes_round_trip(self, model, tokenizer):
         m = measure_inference(model, tokenizer, b"q", gpu=fake_gpu_token())
-        assert MeasurementSet.from_json(m.mset.to_json()) == m.mset
+        assert MeasurementSet.from_bytes(m.mset.serialized_bytes()) == m.mset
+
+    @given(op=st.sampled_from(sorted(OP_CODES)), h_i=ENTRIES, h_o=ENTRIES)
+    @settings(max_examples=200, deadline=None)
+    def test_random_sets_round_trip(self, op, h_i, h_o):
+        mset = MeasurementSet(op, h_i, h_o)
+        raw = mset.serialized_bytes()
+        assert MeasurementSet.from_bytes(raw) == mset
+        assert MeasurementSet.from_bytes(raw).serialized_bytes() == raw
+
+    @given(raw=st.binary(max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_parse_to_themselves_or_fail(self, raw):
+        """Any bytes from_bytes accepts are the one encoding of their set."""
+        try:
+            mset = MeasurementSet.from_bytes(raw)
+        except FormatError:
+            return
+        assert mset.serialized_bytes() == raw
+
+    @pytest.mark.parametrize("raw,refused", [
+        (b"", "truncated"),
+        (b"\x00" + u32(0) * 2, "unknown op code 0"),
+        (bytes([len(OP_CODES) + 1]) + u32(0) * 2, "unknown op code 9"),
+        (b"\x07" + u32(0), "truncated"),
+        (b"\x07" + u32(1) + lp(b"h(q)"), "truncated"),
+        (b"\x07" + u32(1) + lp(b"h(q)") + u32(3) + b"ab", "truncated"),
+        (b"\x07" + u32(1) + lp(b"h(\xe9)") + lp(b"x") + u32(0), "is not ASCII text"),
+        (b"\x07" + u32(1) + lp(b"h(q)") + lp(b"") + u32(0), "empty measurement bytes"),
+        (b"\x07" + u32(0) * 2 + b"\x00", "1 trailing byte"),
+    ], ids=["empty", "op-0", "op-9", "no-h_o-count", "no-data", "short-data",
+            "non-ascii-label", "empty-data", "trailing"])
+    def test_hostile_bytes_are_format_errors(self, raw, refused):
+        with pytest.raises(FormatError, match=refused):
+            MeasurementSet.from_bytes(raw)
 
     def test_operation_id_validation(self):
         with pytest.raises(ValueError, match="unknown operation"):

@@ -1,19 +1,22 @@
 """Protocol pipeline: request schemas, verdict checks, binding, transport."""
 
+import base64
 import json
 import os
 import signal
 import socket
 import struct
 from dataclasses import replace
+from itertools import chain
+from typing import Iterator
 
 import pytest
 
 from palm.adversary import build_clean_fixture
-from palm.attestation import Challenge, derive_private_key
+from palm.attestation import Challenge, Quote, derive_private_key
 from palm.dataset import write_dataset
 from palm.dataset import MappedDataset
-from palm.encoding import sha3_256
+from palm.encoding import lp, sha3_256, u32
 from palm.errors import FormatError, PalmError, SchemaError
 from palm.measurers import GPU_LABEL, OP_CODES, GpuToken, LabeledMeasurement, MeasurementSet
 from palm.msh import msh_of_records
@@ -52,6 +55,20 @@ def ctx(fixture):
 @pytest.fixture
 def verifier(fixture):
     return Verifier(fixture.refstore)
+
+
+# Offset of the first H_I label in a set's bytes: op code, H_I count, label length.
+FIRST_LABEL = 1 + 4 + 4
+B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _set_bytes(doc: dict) -> bytearray:
+    """The measurement set's bytes that a response document carries."""
+    return bytearray(base64.b64decode(doc["measurement_set"]))
+
+
+def _with_set_bytes(doc: dict, raw: bytes) -> dict:
+    return dict(doc, measurement_set=base64.b64encode(raw).decode("ascii"))
 
 
 def nonce_chal(tag: str) -> Challenge:
@@ -954,13 +971,13 @@ class TestHostileDocuments:
         with pytest.raises(SchemaError, match="must each be true or false"):
             AttestationRequest.from_json(doc)
 
-    @pytest.mark.parametrize("label", [7, "\u00e9", None], ids=repr)
-    def test_label_must_be_ascii_text(self, fixture, ctx, verifier, label):
-        req = fixture.make_request("label")
-        doc = prover_handle(req, ctx).to_json()
-        doc["measurement_set"]["h_o"][0]["label"] = label
+    @pytest.mark.parametrize("char", ["\u00e9", "\x80", "\xff"], ids=repr)
+    def test_label_must_be_ascii_text(self, fixture, ctx, char):
+        doc = prover_handle(fixture.make_request("label"), ctx).to_json()
+        raw = _set_bytes(doc)
+        raw[FIRST_LABEL] = ord(char)
         with pytest.raises(FormatError, match="is not ASCII text"):
-            verifier.verify(AttestationResponse.from_json(doc), req)
+            AttestationResponse.from_json(_with_set_bytes(doc, raw))
 
     @pytest.mark.parametrize("outputs", [[1], "x", 7], ids=repr)
     def test_outputs_must_be_an_object(self, fixture, ctx, outputs):
@@ -969,35 +986,29 @@ class TestHostileDocuments:
         with pytest.raises(FormatError, match="outputs must be an object"):
             AttestationResponse.from_json(doc)
 
-    @pytest.mark.parametrize("field", ["quote", "output"])
+    @pytest.mark.parametrize("field", ["quote", "output", "measurement_set"])
     def test_base64_must_be_canonical(self, fixture, ctx, field):
         """RFC 4648 section 3.5: data after the padding, or pad bits that are
         not zero, make text that no encoder writes."""
-        doc = prover_handle(fixture.make_request("b64"), ctx).to_json()
-        for text in ("QUI=", "QUI=QUJD", "QUJ="):
-            if field == "quote":
-                doc["quote"] = text
-            else:
-                doc["outputs"]["h(Mtr)"] = text
-            if text != "QUI=":
-                with pytest.raises(FormatError):
-                    AttestationResponse.from_json(doc)
-                continue
-            response = AttestationResponse.from_json(doc)
-            assert b"AB" in (response.quote, response.outputs["h(Mtr)"])
+        response = prover_handle(fixture.make_request("b64"), ctx)
+        doc = response.to_json()
+        section, key = (doc["outputs"], "h(Mtr)") if field == "output" else (doc, field)
+        text = section[key]
+        data = text.rstrip("=")
+        assert data != text, "the field's bytes must end in a padded group"
+        nonzero_pad = data[:-1] + B64_ALPHABET[B64_ALPHABET.index(data[-1]) + 1] + text[len(data):]
+        for spelling in (text + "QUJD", nonzero_pad):
+            section[key] = spelling
+            with pytest.raises(FormatError, match="padding|not canonical"):
+                AttestationResponse.from_json(doc)
+        section[key] = text
+        assert AttestationResponse.from_json(doc) == response
 
     @pytest.mark.parametrize("spell", [str.upper, lambda text: text[:2] + " " + text[2:]],
                              ids=["upper", "spaced"])
-    def test_hex_must_be_canonical(self, fixture, ctx, spell):
+    def test_hex_must_be_canonical(self, fixture, spell):
         """Lowercase hex with no separators is the one spelling of bytes."""
-        req = fixture.make_request("hex")
-        doc = prover_handle(req, ctx).to_json()
-        entry = doc["measurement_set"]["h_i"][0]
-        entry["hex"], original = spell(entry["hex"]), entry["hex"]
-        assert entry["hex"] != original
-        with pytest.raises(FormatError, match="not canonical"):
-            AttestationResponse.from_json(doc)
-        request = req.to_json()
+        request = fixture.make_request("hex").to_json()
         request["chal"], original = spell(request["chal"]), request["chal"]
         assert request["chal"] != original
         with pytest.raises(SchemaError, match="not canonical"):
@@ -1012,22 +1023,67 @@ class TestHostileDocuments:
 
     @pytest.mark.parametrize("where", ["request", "response", "measurement set",
                                        "measurement"])
-    def test_stale_id_opt_key_is_refused(self, fixture, ctx, where):
-        """A document holds only the keys its decoder reads, so a stale
-        label such as a top-level id_opt is refused, not ignored."""
+    def test_stale_id_opt_key_is_refused(self, fixture, ctx, verifier, where):
+        """A document holds only what its decoder reads, so a stale field
+        such as an id_opt is refused, not ignored: a key of a request or
+        response object, bytes after a measurement set, or an entry of a
+        set that the quote does not bind."""
         req = _optimization(fixture, "stale-key", "quantize")
         request, response = req.to_json(), prover_handle(req, ctx).to_json()
-        doc = {"request": request, "response": response,
-               "measurement set": response["measurement_set"],
-               "measurement": response["measurement_set"]["h_i"][0]}[where]
-        doc["id_opt"] = "quantize"
         refused = rf"{where} has keys it is not read for: \['id_opt'\]"
+        stale = lp(b"id_opt") + lp(b"quantize")
+        raw = _set_bytes(response)
         if where == "request":
+            request["id_opt"] = "quantize"
             with pytest.raises(SchemaError, match=refused):
                 AttestationRequest.from_json(request)
-        else:
+        elif where == "response":
+            response["id_opt"] = "quantize"
             with pytest.raises(FormatError, match=refused):
                 AttestationResponse.from_json(response)
+        elif where == "measurement set":
+            with pytest.raises(FormatError, match=f"{len(stale)} trailing byte"):
+                AttestationResponse.from_json(_with_set_bytes(response, raw + stale))
+        else:
+            raw[1:5] = u32(int.from_bytes(raw[1:5], "little") + 1)
+            raw[5:5] = stale  # the first H_I entry
+            verdict = verifier.verify(AttestationResponse.from_json(_with_set_bytes(response, raw)), req)
+            assert (verdict.result, verdict.reason) == ("Reject", "Malformed")
+            assert verdict.checks[-1].name == "measurement_set_binding"
+
+    def test_every_cut_and_byte_change_of_the_set_fails_closed(self, fixture, ctx):
+        """Set bytes other than those the quote binds never pass check 6.
+        Every proper prefix of a clean set, and every change of one of its
+        bytes to any other value, is a FormatError or parses to a set whose
+        digest is not the quoted one. Each prefix, and each byte changed in
+        its low bit, its high bit or all bits, is also taken through a
+        response document and the verifier: a FormatError or a Reject at
+        measurement_set_binding."""
+        req = _optimization(fixture, "set-bytes", "quantize")
+        response = prover_handle(req, ctx)
+        raw = response.mset.serialized_bytes()
+        quoted = Quote.decode(response.quote).report_data.hi_ho_digest
+        assert Verifier(fixture.refstore).verify(response, req).accepted
+
+        def changed(at: int, values) -> Iterator[bytes]:
+            return (raw[:at] + bytes([v]) + raw[at + 1:] for v in values if v != raw[at])
+
+        cuts = [raw[:n] for n in range(len(raw))]
+        for mutant in chain(cuts, *(changed(at, range(256)) for at in range(len(raw)))):
+            try:
+                assert MeasurementSet.from_bytes(mutant).digest() != quoted, mutant.hex()
+            except FormatError:
+                pass
+        doc = response.to_json()
+        flips = (changed(at, (raw[at] ^ m for m in (0x01, 0x80, 0xFF))) for at in range(len(raw)))
+        for mutant in chain(cuts, *flips):
+            try:
+                hostile = AttestationResponse.from_json(_with_set_bytes(doc, mutant))
+            except FormatError:
+                continue
+            verdict = Verifier(fixture.refstore).verify(hostile, req)
+            assert (verdict.result, verdict.checks[-1].name) == (
+                "Reject", "measurement_set_binding"), mutant.hex()
 
     def test_inputs_must_be_an_object(self, fixture):
         doc = fixture.make_request("inputs").to_json()
