@@ -151,7 +151,6 @@ class MappedDataset:
             raise
         self._seen = bytearray(len(self._spans))
         self._lock = threading.Lock()
-        self.pool = pool
         self.accumulator = MshAccumulator(pool=pool)
 
     def __len__(self) -> int:

@@ -89,7 +89,7 @@ from .measurers import (
 )
 from .msh import MshPool, msh_of_records
 from .refstore import ReferenceStore
-from .toyops import MODEL_KINDS, OPTIMIZATIONS, History, ToyModel, ToyTokenizer, TrainConfig
+from .toyops import OPTIMIZATIONS, History, ToyModel, ToyTokenizer, TrainConfig, check_kind
 
 TIMESTAMP_WINDOW_SECONDS = 300
 
@@ -109,20 +109,6 @@ def _latin1(text, what: str) -> bytes:
         raise SchemaError(f"{what} is not latin-1 text: {exc}") from exc
 
 
-def _tokenizer(doc, ctx) -> ToyTokenizer:
-    """A tokenizer whose every token serialises, checked before any op runs."""
-    tokenizer = ToyTokenizer.from_json(doc)
-    _latin1("".join(tokenizer.vocab), "tokenizer vocabulary")
-    return tokenizer
-
-
-def _arch(kind, ctx) -> str:
-    """A model architecture the toy operations train, checked before any op runs."""
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return kind
-
-
 def _staged(name, ctx) -> str:
     """A staged file, named by a plain file name: no request reaches a file
     outside the staging directory."""
@@ -135,13 +121,15 @@ def _history(pairs, ctx) -> History:
     return tuple((_latin1(q, "history query"), _latin1(r, "history response")) for q, r in pairs)
 
 
-# Input name -> decoder(value, ctx); id_opt passes as given. Functions
-# are looked up when called, so a harness that replaces one to trace it is obeyed.
+# Input name -> decoder(value, ctx); id_opt passes as given. Each decoder
+# only calls into the toy types, which check their own documents, and
+# looks its function up when called, so a harness that replaces one to
+# trace it is obeyed.
 _DECODERS = {
-    "arch": _arch,
+    "arch": lambda kind, ctx: check_kind(kind),
     "model": lambda doc, ctx: ToyModel.from_json(doc),
     "adapter": lambda doc, ctx: ToyModel.from_json(doc),
-    "tokenizer": _tokenizer,
+    "tokenizer": lambda doc, ctx: ToyTokenizer.from_json(doc),
     "train_config": lambda doc, ctx: TrainConfig.from_json(doc),
     "dataset": _staged,
     "opt_dataset": _staged,

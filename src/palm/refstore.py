@@ -11,8 +11,10 @@ where an array belongs is a SchemaError. A save replaces the file whole.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import stat
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -128,11 +130,14 @@ class ReferenceStore:
 
     def save(self, path: str | os.PathLike) -> None:
         """Replace the store whole or not at all: the document is written
-        to a new file beside it, flushed to disk, and renamed over it."""
+        to a new file beside it, flushed to disk, and renamed over it. The
+        new file takes the old store's permission bits before it is written."""
         tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
         f = open(tmp, "x", encoding="utf-8")
         try:
             with f:
+                with contextlib.suppress(FileNotFoundError):
+                    os.fchmod(f.fileno(), stat.S_IMODE(os.stat(path).st_mode))
                 f.write(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
                 f.flush()
                 os.fsync(f.fileno())

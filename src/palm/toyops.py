@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .encoding import lp, sha3_256, u32, u64
+from .encoding import check_keys, lp, sha3_256, u32, u64
 from .errors import FormatError, MissingDataset, UnknownOptimization
 
 UNK_TOKEN = "<unk>"
@@ -47,9 +47,11 @@ def _tokenize(record: bytes) -> list[str]:
 class ToyTokenizer:
     """Static vocabulary mapping token strings to dense ids; id 0 is reserved.
 
-    The vocabulary is not changed after construction: the id list, the
-    latin-1 bytes -> id map, the canonical bytes and their digest are each
-    built once per tokenizer, when first used."""
+    Every token must be latin-1 text, the bytes it stands for, so that
+    the tokenizer serialises. The vocabulary is not changed after
+    construction: the id list, the latin-1 bytes -> id map, the canonical
+    bytes and their digest are each built once per tokenizer, when first
+    used."""
 
     vocab: dict[str, int]
 
@@ -57,6 +59,10 @@ class ToyTokenizer:
         ids = sorted(self.vocab.values())
         if ids != list(range(len(self.vocab))):
             raise ValueError("token ids must be dense 0..|vocab|-1")
+        try:
+            "".join(self.vocab).encode("latin-1")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"tokenizer vocabulary is not latin-1 text: {exc}") from None
 
     @classmethod
     def build(cls, records: Sequence[bytes]) -> "ToyTokenizer":
@@ -108,6 +114,7 @@ class ToyTokenizer:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ToyTokenizer":
+        check_keys(doc, ("vocab",), "tokenizer")
         vocab = doc["vocab"]
         return cls(dict(zip(map(str, vocab), _json_ints(vocab.values(), "token id"))))
 
@@ -139,6 +146,7 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainConfig":
+        check_keys(doc, ("seed", "epochs", "sampling"), "train config")
         seed, epochs = _json_ints((doc["seed"], doc["epochs"]), "seed or epochs")
         return cls(seed, epochs, str(doc["sampling"]))
 
@@ -157,40 +165,50 @@ class ToyModel:
     `counts` is the dict form, built when read. The columns are read-only,
     so one model can serve many requests at once, and its canonical bytes
     and their digest are built once, when first asked for.
+
+    A model has two constructors. `_checked` takes rows as Python ints, in
+    any order, range-checks and sorts them; `ToyModel(kind, counts)` and
+    `from_json` build through it. `_from_rows` takes numpy rows already
+    sorted, as `train`, `optimize` and `_summed` make them, and checks
+    nothing. `ToyModel(...)` is `__new__`, so that it can return the model
+    `_from_rows` builds.
     """
 
     __slots__ = ("kind", "contexts", "starts", "tokens", "freqs", "_canonical", "_digest")
 
-    def __init__(self, kind: str, counts: Optional[dict[int, dict[int, int]]] = None):
+    def __new__(cls, kind: str, counts: Optional[dict[int, dict[int, int]]] = None):
         counts = counts or {}
-        contexts = sorted(counts)
-        entries = [sorted(counts[ctx].items()) for ctx in contexts]
-        self._fill(
+        return cls._checked(
             kind,
-            contexts,
-            [len(e) for e in entries],
-            (tid for e in entries for tid, _ in e),
-            (n for e in entries for _, n in e),
+            list(counts),
+            [len(entries) for entries in counts.values()],
+            chain.from_iterable(counts.values()),
+            chain.from_iterable(map(dict.values, counts.values())),
         )
 
-    def _fill(
-        self, kind: str, contexts: list, sizes: list, tokens: Iterable, freqs: Iterable
-    ) -> None:
-        """Set the table from Python ints in row order, range-checking each column."""
-        _check_kind(kind)
-        self.kind = kind
-        self.starts = np.zeros(len(contexts) + 1, np.int64)
-        np.cumsum(sizes, out=self.starts[1:])
-        self.contexts = _column(contexts, np.uint32, len(contexts), "context id")
-        self.tokens = _column(tokens, np.uint32, self.starts[-1], "token id")
-        self.freqs = _column(freqs, np.uint64, self.starts[-1], "count")
-        self._freeze()
+    @classmethod
+    def _checked(
+        cls, kind: str, contexts: list, sizes: list, tokens: Iterable, freqs: Iterable
+    ) -> "ToyModel":
+        """A model over rows given as Python ints: `contexts` with `sizes`
+        rows each, then the token and count of every row, context by
+        context, in any order of contexts and of tokens within one. Each
+        column is range-checked, then the rows are sorted once by
+        (context, token)."""
+        check_kind(kind)
+        contexts = _column(contexts, np.uint32, len(contexts), "context id")
+        ctx = np.repeat(contexts, sizes)
+        tokens = _column(tokens, np.uint32, len(ctx), "token id")
+        freqs = _column(freqs, np.uint64, len(ctx), "count")
+        order = np.argsort((ctx.astype(np.uint64) << 32) | tokens)
+        return cls._from_rows(kind, ctx[order], tokens[order], freqs[order], np.sort(contexts))
 
     @classmethod
     def _from_rows(cls, kind, ctx, tokens, freqs, contexts=None) -> "ToyModel":
-        """A model over rows already sorted by (context, token). `contexts`, a
-        sorted superset of the rows' context ids, adds contexts with no rows."""
-        model = cls.__new__(cls)
+        """A model over numpy rows already sorted by (context, token), taken
+        as given. `contexts`, a sorted superset of the rows' context ids,
+        adds contexts with no rows."""
+        model = object.__new__(cls)
         model.kind = kind
         if contexts is None:  # the first id of each run of the sorted context column
             contexts = ctx[np.r_[True, ctx[1:] != ctx[:-1]][: len(ctx)]]
@@ -198,12 +216,9 @@ class ToyModel:
         model.starts = np.append(np.searchsorted(ctx, model.contexts), len(ctx)).astype(np.int64)
         model.tokens = tokens.astype(np.uint32, copy=False)
         model.freqs = freqs.astype(np.uint64, copy=False)
-        model._freeze()
-        return model
-
-    def _freeze(self) -> None:
-        for column in (self.contexts, self.starts, self.tokens, self.freqs):
+        for column in (model.contexts, model.starts, model.tokens, model.freqs):
             column.flags.writeable = False
+        return model
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(context, token, count) columns, one entry per row."""
@@ -287,33 +302,18 @@ class ToyModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ToyModel":
-        """Decode in document order, then sort unless already sorted, as a
-        document whose keys were sorted as strings ("10" before "9") is not.
-        Ids must be canonical decimal keys, so no two keys name one id."""
-        kind = str(doc["kind"])
+        """Decode a document in any key order: frames sort keys as strings,
+        so "10" arrives before "9". Ids must be canonical decimal keys, so no
+        two keys name one id."""
+        check_keys(doc, ("kind", "counts"), "model")
         counts = doc["counts"]
-        model = cls.__new__(cls)
-        model._fill(
-            kind,
+        return cls._checked(
+            str(doc["kind"]),
             _json_ids(counts, "context id"),
             [len(entries) for entries in counts.values()],
             _json_ids(chain.from_iterable(counts.values()), "token id"),
             _json_ints(chain.from_iterable(map(dict.values, counts.values())), "count"),
         )
-        if model._sorted():
-            return model
-        ctx, tokens, freqs = model._rows()
-        order = np.argsort((ctx.astype(np.uint64) << 32) | tokens)
-        return cls._from_rows(
-            kind, ctx[order], tokens[order], freqs[order], np.sort(model.contexts)
-        )
-
-    def _sorted(self) -> bool:
-        """Contexts strictly increase, and so do the tokens within each context."""
-        rising = self.tokens[1:] > self.tokens[:-1]
-        bounds = self.starts[1:-1]
-        rising[bounds[(bounds > 0) & (bounds < len(self.tokens))] - 1] = True
-        return bool(np.all(self.contexts[1:] > self.contexts[:-1]) and np.all(rising))
 
 
 # A canonical decimal id key: 0, or up to ten digits with no leading zero.
@@ -357,9 +357,11 @@ def _json_ints(values: Iterable, what: str) -> list:
     return values
 
 
-def _check_kind(kind: str) -> None:
+def check_kind(kind: str) -> str:
+    """A model kind the toy operations train; any other value is a ValueError."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
+    return kind
 
 
 def _column(values: Iterable, dtype, count: int, what: str) -> np.ndarray:
@@ -429,7 +431,7 @@ def train(
     `context * |vocab| + token`, which leaves the rows in (context, token)
     order. A count past u64 raises.
     """
-    _check_kind(kind)
+    check_kind(kind)
     ids_of = tokenizer._ids_of_bytes
     split = [record.split() for record in records]
     if not config.epochs:

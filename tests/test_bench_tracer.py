@@ -78,7 +78,7 @@ EXPECTED = {
     "mapped-preprocessing": MAPPED_PREPROCESSING,
     # the benchmark's own request: the same layers, with no output returned
     "confidential-mapped-preprocessing": MAPPED_PREPROCESSING,
-    "inmem-training": ("dataset.load", "toyops.train", *COMMON),
+    "inmem-training": ("dataset.load", "toyops.train", "toyops.tokenizer_decode", *COMMON),
     "session-inference": ("toyops.infer", "toyops.model_decode", *COMMON),
 }
 

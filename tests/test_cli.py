@@ -4,6 +4,7 @@ import argparse
 import base64
 import json
 import os
+import stat
 
 import pytest
 
@@ -323,6 +324,14 @@ class TestStoreSave:
         assert path.read_bytes() == before
         assert sorted(os.listdir(provisioned)) == listing
         assert ReferenceStore.load(path).to_json() == json.loads(before)
+
+    def test_save_keeps_the_store_mode(self, provisioned):
+        path = provisioned / "refstore.json"
+        path.chmod(0o600)
+        store = ReferenceStore.load(path)
+        store.accept_td(b"\x00" * 32)
+        store.save(path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
     def test_save_round_trips(self, provisioned):
         path = provisioned / "refstore.json"

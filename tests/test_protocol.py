@@ -29,7 +29,7 @@ from palm.protocol import (
     prover_handle,
 )
 from palm.refstore import ReferenceStore
-from palm.toyops import preproc_record
+from palm.toyops import ToyModel, ToyTokenizer, TrainConfig, preproc_record
 from palm.transport import (
     MAX_FRAME,
     MSG_ERROR,
@@ -544,6 +544,21 @@ class TestInputRanges:
         )
         self._served(ctx, bad, r"^server error: SchemaError: bad model: count outside \[0, 2\*\*64\)")
 
+    @pytest.mark.parametrize("name, kind", [("model", ToyModel), ("tokenizer", ToyTokenizer),
+                                            ("train_config", TrainConfig)])
+    def test_document_with_a_key_it_is_not_read_for_is_refused(self, fixture, ctx, name, kind):
+        """A model, tokenizer or train config holds nothing it is not read
+        for, so each has one encoding."""
+        docs = {"model": TestNonLatin1Text.MODEL, "tokenizer": fixture.tokenizer.to_json(),
+                "train_config": fixture.config.to_json()}
+        doc = dict(docs[name], extra=1)
+        with pytest.raises(ValueError, match=r"has keys it is not read for: \['extra'\]"):
+            kind.from_json(doc)
+        req = (TestNonLatin1Text()._inference(fixture, "extra-key", "q") if name == "model"
+               else fixture.make_request("extra-key"))
+        bad = AttestationRequest(req.op, req.chal, dict(req.inputs, **{name: doc}), req.mode)
+        self._served(ctx, bad, rf"^server error: SchemaError: bad {name}: .* not read for")
+
 
     def test_bad_sampling_is_a_schema_error_not_a_defect(self, fixture, ctx, caplog):
         req = fixture.make_request("bad-sampling")
@@ -700,11 +715,15 @@ class _StopThenKillWorkers(MappedDataset):
     record, so no batch can be answered, and kills them all once two
     batches are out."""
 
+    def __init__(self, path, pool):
+        super().__init__(path, pool)
+        self.workers = pool
+
     def sample_run(self, start, stop):
         if start < 300 < stop:
             return self.sample_run(start, 300) + self.sample_run(300, stop)
         if start in (0, 300):
-            for pid in self.pool.pids():
+            for pid in self.workers.pids():
                 os.kill(pid, signal.SIGSTOP if start == 0 else signal.SIGKILL)
         return super().sample_run(start, stop)
 
@@ -1149,7 +1168,8 @@ class TestTokenizerText:
         )
         with pytest.raises(SchemaError, match="tokenizer vocabulary"):
             prover_handle(bad, ctx)
-        TestInputRanges()._served(ctx, bad, r"^server error: SchemaError: tokenizer vocabulary")
+        TestInputRanges()._served(
+            ctx, bad, r"^server error: SchemaError: bad tokenizer: tokenizer vocabulary")
         assert calls == []
 
 

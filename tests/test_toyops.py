@@ -93,6 +93,10 @@ class TestTokenizer:
         with pytest.raises(ValueError):
             ToyTokenizer({"a": 1, "b": 3})
 
+    def test_token_outside_latin1_refused_when_built(self):
+        with pytest.raises(ValueError, match="tokenizer vocabulary is not latin-1 text"):
+            ToyTokenizer({"<unk>": 0, "snow\u2603": 1})
+
     def test_serialization_deterministic(self):
         tok = ToyTokenizer.build([b"b a c"])
         assert tok.serialized_bytes() == ToyTokenizer.build([b"c b", b"a"]).serialized_bytes()
@@ -440,9 +444,10 @@ class TestColumnarMatchesOracle:
         for context in range(len(tok.vocab) + 1):
             assert model.predict(context) == oracle_predict(kind, expected, context)
 
-    @given(kind=st.sampled_from(MODEL_KINDS), counts=counts_tables)
+    @given(kind=st.sampled_from(MODEL_KINDS), counts=counts_tables,
+           rng=st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
-    def test_table_and_filters(self, kind, counts):
+    def test_table_and_filters(self, kind, counts, rng):
         # Tables here hold contexts with no entries and zero counts.
         model = ToyModel(kind, counts)
         assert model.serialized_bytes() == oracle_model_bytes(kind, counts)
@@ -451,6 +456,12 @@ class TestColumnarMatchesOracle:
         # Frames sort keys as strings: "10" arrives before "9".
         framed = json.loads(json.dumps(model.to_json(), sort_keys=True))
         assert ToyModel.from_json(framed) == model
+        # Any key order decodes to the same table.
+        shuffled = [(ctx, rng.sample(list(entries.items()), len(entries)))
+                    for ctx, entries in framed["counts"].items()]
+        rng.shuffle(shuffled)
+        doc = {"kind": kind, "counts": {ctx: dict(entries) for ctx, entries in shuffled}}
+        assert ToyModel.from_json(doc).serialized_bytes() == model.serialized_bytes()
         for context in range(14):
             assert model.predict(context) == oracle_predict(kind, counts, context)
         for id_opt in ("quantize", "prune"):
