@@ -82,7 +82,7 @@ def _load_context(args, with_gpu: bool = True) -> TdContext:
             keys = json.load(f)
     except OSError as exc:
         raise CliError(f"no keys at {path} (run `palm keygen`): {exc}")
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         raise CliError(f"keys file {path} is not JSON: {exc}")
     try:
         image_bytes = base64.b64decode(keys["image_b64"], validate=True)
@@ -138,7 +138,7 @@ def _read_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         raise CliError(f"cannot read {path}: {exc}")
 
 

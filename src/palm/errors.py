@@ -6,9 +6,8 @@ class PalmError(Exception):
 
 
 class ParamsMismatch(PalmError):
-    """Multiset-hash record counts that disagree: a companion not given
-    exactly the records its source took, or an epoch that accumulated a
-    different number of records than its dataset holds."""
+    """A mapped epoch whose accumulator folded a different number of
+    records than its dataset holds."""
 
 
 class MshWorkerError(PalmError):

@@ -31,12 +31,12 @@ claimed, read and measured as one unit (MappedDataset.sample_run): the
 run's read buffer is one batch of the handle's accumulator, hashed here or,
 for a handle opened with an MshPool, by the pool's workers. Either way
 every record is claimed and consumed here, once, and the bytes consumed are
-the bytes hashed. A mapped Preprocessing measures Dpre through a companion
-of the handle's accumulator (MshAccumulator.companion), fed the records the
-operation consumes: each batch hashes its records and their preprocessed
-forms together, so this process runs preproc_record for the measurement
-only where the batch is hashed, and for the payload only when the run
-keeps Dpre.
+the bytes hashed. A mapped Preprocessing fuses the handle's accumulator
+(MshAccumulator.fuse_preproc) before its pass, so each batch hashes its
+records and their preprocessed forms together and the accumulator holds
+MSH(Dpre) as a second sum once the epoch is finished: this process runs
+preproc_record for the measurement only where the batch is hashed, and for
+the payload only when the run keeps Dpre.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ from .dataset import (
 )
 from .encoding import Reader, lp, sha3_256, u32
 from .errors import FormatError, IncompleteEpoch
-from .msh import MshAccumulator, MshDigest, msh_of_records
+# Nothing here calls msh_of_records; perfbench/tracer.py wraps it by this name.
+from .msh import MshAccumulator, msh_of_records  # noqa: F401
 from .toyops import (
     History,
     ToyModel,
@@ -67,7 +68,6 @@ from .toyops import (
     infer_session,
     optimize,
     preproc,
-    preproc_record,
     serialize_distribution,
     serialize_history,
     train,
@@ -225,13 +225,6 @@ def _one_pass(
     return result, LabeledMeasurement(f"MSH({role})", finish_epoch(ds).encode())
 
 
-def _kept(into: list, items: Iterable[T], derive: Callable[[T], object]) -> Iterator[T]:
-    """Pass items through unchanged, appending derive(item) to `into` on the way."""
-    for item in items:
-        into.append(derive(item))
-        yield item
-
-
 def _measured(
     name: str,
     h_i: list[LabeledMeasurement],
@@ -261,35 +254,36 @@ def idopt_entry(id_opt: str) -> LabeledMeasurement:
     return LabeledMeasurement("h(idopt)", sha3_256(id_opt.encode("ascii")))
 
 
+def _drained(records: Iterable[bytes]) -> tuple:
+    """Consume every record and keep none."""
+    for _ in records:
+        pass
+    return ()
+
+
 def measure_preprocessing(
     ds: Dataset, gpu: Optional[GpuToken] = None, keep_output: bool = True
 ) -> Measured:
     """Dpre is measured the way its input is held: h over its packed form in
-    memory, or, when the input is mapped, MSH folded over the preprocessed
-    form of each record in the same pass that samples and measures D, by
-    the companion of the handle's accumulator.
+    memory, or, when the input is mapped, MSH over the preprocessed form of
+    each record, the second sum of the handle's accumulator, fused before
+    the pass that samples and measures D and read once the epoch is
+    finished.
 
     Without keep_output (a confidential run, whose outputs are never
     returned) Dpre is measured but not kept: the result and the outputs are
-    None, so a mapped run holds no dataset-sized state. A run that keeps
-    Dpre preprocesses each consumed record here for the payload, from the
-    same bytes the companion measures."""
+    None, so a mapped run holds no dataset-sized state and only drains the
+    records. A mapped run that keeps Dpre preprocesses each consumed record
+    here for the payload, from the same bytes the accumulator measures."""
     if isinstance(ds, InMemoryDataset):
         d_pre, d_entry = _one_pass(ds, "D", preproc)
         return _measured("Preprocessing", [d_entry], gpu, d_pre,
                          {"h(Dpre)": pack_records(d_pre)}, keep=keep_output)
-    produced: list[bytes] = []
-    d_pre_acc = ds.accumulator.companion()
-
-    def fold(records: Iterable[bytes]) -> MshDigest:
-        if keep_output:
-            records = _kept(produced, records, preproc_record)
-        return msh_of_records(records, into=d_pre_acc)
-
-    d_pre_msh, d_entry = _one_pass(ds, "D", fold)
-    out_entry = LabeledMeasurement("MSH(Dpre)", d_pre_msh.encode())
-    return _measured("Preprocessing", [d_entry], gpu, tuple(produced),
-                     {out_entry.label: pack_records(produced)}, h_o=[out_entry], keep=keep_output)
+    ds.accumulator.fuse_preproc()
+    d_pre, d_entry = _one_pass(ds, "D", preproc if keep_output else _drained)
+    out_entry = LabeledMeasurement("MSH(Dpre)", ds.accumulator.finalize(preprocessed=True).encode())
+    return _measured("Preprocessing", [d_entry], gpu, d_pre,
+                     {out_entry.label: pack_records(d_pre)}, h_o=[out_entry], keep=keep_output)
 
 
 def measure_attribute_distribution(ds: Dataset, gpu: Optional[GpuToken] = None) -> Measured:

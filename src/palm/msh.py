@@ -25,14 +25,12 @@ caller still decides which bytes are measured and when, and the digest is
 byte-identical either way. Anything that reads the state (finalize,
 merge, limbs) folds the pending batch and waits for every shipped one.
 
-An accumulator can also give a companion: the multiset hash of
-toyops.preproc_record over every record the accumulator takes from then
-on, which is MSH(Dpre) for a Preprocessing pass over a mapped D. Each
-batch the accumulator folds from then on is fused: _hash_spans also
-hashes the records' preprocessed forms and answers 2*L limbs, the second
-L of which go to the companion. The companion is fed the records the
-operation consumed, but only counts them; reading it fails closed unless
-they are exactly as many as its source took.
+An accumulator can also keep a second sum: from the call of
+fuse_preproc on, each batch it folds is fused, and _hash_spans also hashes
+the records' toyops.preproc_record forms and answers 2*L limbs, the second
+L of which go to that sum. finalize(preprocessed=True) reads it, with a
+count of the records folded since fusing began, which for a
+Preprocessing pass over a mapped D is MSH(Dpre).
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .encoding import u64
-from .errors import MshWorkerError, ParamsMismatch
+from .errors import MshWorkerError
 from .toyops import preproc_record
 
 # Domain-separation prefix absorbed by the XOF before every record.
@@ -139,14 +137,15 @@ class MshAccumulator:
     state (finalize, merge, limbs) folds the pending batch and, pooled,
     waits for every batch shipped."""
 
-    __slots__ = ("_limbs", "_pending", "_pool", "_shipped", "_companion", "count")
+    __slots__ = ("_limbs", "_pending", "_pool", "_shipped", "_pre_limbs", "_pre_base", "count")
 
     def __init__(self, pool: Optional["MshPool"] = None):
         self._limbs = np.zeros(L, dtype=DTYPE)
         self._pending: list[bytes] = []  # records inserted since the last batch
         self._pool = pool
         self._shipped: deque[_Batch] = deque()
-        self._companion: Optional[_Preprocessed] = None  # fed by fused batches
+        self._pre_limbs: Optional[np.ndarray] = None  # the fused batches' second sum
+        self._pre_base = 0  # count when fusing began
         self.count = 0
 
     def insert(self, record: bytes) -> "MshAccumulator":
@@ -182,7 +181,7 @@ class MshAccumulator:
     def _fold(self, buffer: bytes, spans: np.ndarray) -> None:
         """Add a batch's sums here, or ship it to the pool and add the sums
         of every shipped batch already answered, in order."""
-        fused = self._companion is not None
+        fused = self._pre_limbs is not None
         if self._pool is None:
             self._add(_hash_spans(buffer, spans, fused))
             return
@@ -207,7 +206,7 @@ class MshAccumulator:
         sums = np.frombuffer(sums, dtype=DTYPE)
         self._limbs += sums[:L]
         if len(sums) > L:  # a fused batch
-            self._companion._limbs += sums[L:]
+            self._pre_limbs += sums[L:]
 
     def _flush(self) -> None:
         """Bring the state up to date with every record inserted so far."""
@@ -229,65 +228,35 @@ class MshAccumulator:
         merged.count = self.count + other.count
         return merged
 
-    def finalize(self) -> MshDigest:
-        """Snapshot the current state; the accumulator stays usable."""
+    def finalize(self, preprocessed: bool = False) -> MshDigest:
+        """Snapshot the current state; the accumulator stays usable. With
+        `preprocessed`, the snapshot is of the second sum instead: MSH over
+        preproc_record of every record folded since fuse_preproc."""
         self._flush()
-        return MshDigest(limbs=tuple(int(x) for x in self._limbs), count=self.count)
+        if preprocessed:
+            return MshDigest(tuple(int(x) for x in self._pre_limbs), self.count - self._pre_base)
+        return MshDigest(tuple(int(x) for x in self._limbs), self.count)
 
     @property
     def limbs(self) -> tuple[int, ...]:
         self._flush()
         return tuple(int(x) for x in self._limbs)
 
-    def companion(self) -> "MshAccumulator":
-        """An accumulator over preproc_record(r) for each record r this one
-        takes from now on; insert each such r into it once.
-
-        The batches this accumulator folds from now on are fused, so the
-        companion's arithmetic rides on them and its insert only counts;
-        records inserted before now are folded unfused first."""
-        if self._companion is not None:
-            raise ValueError("an accumulator has at most one companion")
+    def fuse_preproc(self) -> None:
+        """Fuse every batch folded from now on: it also hashes the
+        preproc_record form of each of its records into the second sum that
+        finalize(preprocessed=True) reads. Records inserted before now are
+        folded unfused first."""
+        if self._pre_limbs is not None:
+            raise ValueError("an accumulator is fused at most once")
         self._ship()
-        self._companion = _Preprocessed(self)
-        return self._companion
+        self._pre_limbs = np.zeros(L, dtype=DTYPE)
+        self._pre_base = self.count
 
 
-class _Preprocessed(MshAccumulator):
-    """The companion an accumulator gives: MSH over preproc_record of the
-    records its source takes after it was made.
-
-    The source's fused batches carry the sums, so insert and insert_many
-    only count the records consumed. Reading the state flushes the source,
-    then raises ParamsMismatch unless the companion was given exactly as
-    many records as its source took."""
-
-    __slots__ = ("_source", "_base")
-
-    def __init__(self, source: MshAccumulator):
-        super().__init__()
-        self._source = source
-        self._base = source.count
-
-    def insert(self, record: bytes) -> "MshAccumulator":
-        self.count += 1
-        return self
-
-    def insert_many(self, records: Iterable[bytes]) -> "MshAccumulator":
-        self.count += sum(1 for _ in records)
-        return self
-
-    def _flush(self) -> None:
-        self._source._flush()
-        taken = self._source.count - self._base
-        if self.count != taken:
-            raise ParamsMismatch(f"{self.count} records preprocessed of the {taken} taken")
-
-
-def msh_of_records(records: Iterable[bytes], into: Optional[MshAccumulator] = None) -> MshDigest:
-    """Digest a whole record stream in one pass (fold of insert), into a new
-    in-process accumulator or, given `into`, into that one with its pool."""
-    return (into or MshAccumulator()).insert_many(records).finalize()
+def msh_of_records(records: Iterable[bytes]) -> MshDigest:
+    """Digest a whole record stream in one pass (fold of insert) in process."""
+    return MshAccumulator().insert_many(records).finalize()
 
 
 # --------------------------------------------------------------------------

@@ -151,6 +151,6 @@ class ReferenceStore:
         with open(path, "r", encoding="utf-8") as f:
             try:
                 doc = json.load(f)
-            except ValueError as exc:  # not UTF-8, or not JSON
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
                 raise SchemaError(f"reference store {path} is not JSON: {exc}") from exc
         return cls.from_json(doc)

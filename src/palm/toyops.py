@@ -168,7 +168,8 @@ class ToyModel:
 
     A model has two constructors. `_checked` takes rows as Python ints, in
     any order, range-checks and sorts them; `ToyModel(kind, counts)` and
-    `from_json` build through it. `_from_rows` takes numpy rows already
+    `from_json` build through it, and neither passes on an id or a count
+    that is not an exact int. `_from_rows` takes numpy rows already
     sorted, as `train`, `optimize` and `_summed` make them, and checks
     nothing. `ToyModel(...)` is `__new__`, so that it can return the model
     `_from_rows` builds.
@@ -180,10 +181,10 @@ class ToyModel:
         counts = counts or {}
         return cls._checked(
             kind,
-            list(counts),
+            _json_ints(counts, "context id"),
             [len(entries) for entries in counts.values()],
-            chain.from_iterable(counts.values()),
-            chain.from_iterable(map(dict.values, counts.values())),
+            _json_ints(chain.from_iterable(counts.values()), "token id"),
+            _json_ints(chain.from_iterable(map(dict.values, counts.values())), "count"),
         )
 
     @classmethod
@@ -347,9 +348,10 @@ def _json_ids(keys: Iterable[str], what: str) -> list:
 
 
 def _json_ints(values: Iterable, what: str) -> list:
-    """Decoded JSON numbers that must be integers, as a list. Only an exact
-    int passes: a float or a bool is refused with a ValueError, never
-    truncated to the int it would round to."""
+    """Decoded JSON numbers, or a model's ids and counts given in process,
+    that must be integers, as a list. Only an exact int passes: a float or
+    a bool is refused with a ValueError, never truncated to the int it
+    would round to."""
     values = list(values)
     if not set(map(type, values)) <= {int}:
         bad = next(v for v in values if type(v) is not int)

@@ -39,8 +39,6 @@ def chal(tag):
 
 with tempfile.TemporaryDirectory() as workdir, MshPool() as pool:
     fixture = build_clean_fixture(workdir)
-    ctx = fixture.make_context()
-    ctx.msh_pool = pool
     tokenizer = fixture.tokenizer.to_json()
     model = train("bigram", fixture.records, fixture.config, fixture.tokenizer).to_json()
     requests = {
@@ -59,6 +57,8 @@ with tempfile.TemporaryDirectory() as workdir, MshPool() as pool:
             chal("session")),
     }
     for key, request in requests.items():
+        ctx = fixture.make_context()  # a fresh decode cache: every input is decoded
+        ctx.msh_pool = pool
         tracer.set_request(key)
         transport.prover_handle(request, ctx)
     tracer.clear_request()
@@ -71,15 +71,16 @@ json.dump({"records": len(fixture.records), "calls": calls}, sys.stdout)
 COMMON = ("measurers.measure", "attestation.quote")
 # A mapped pass reads and measures runs of records (MappedDataset.sample_run),
 # which the tracer does not wrap, so dataset.sample and msh.insert stay empty
-# there; msh.records still counts every record of D and of Dpre.
-MAPPED_PREPROCESSING = ("dataset.open", "dataset.finish_epoch", "msh.of_records",
-                        "msh.finalize", *COMMON)
+# there, and MSH(Dpre) is read from the fused accumulator; msh.records still
+# counts every record of D and of Dpre.
+MAPPED_PREPROCESSING = ("dataset.open", "dataset.finish_epoch", "msh.finalize", *COMMON)
 EXPECTED = {
     "mapped-preprocessing": MAPPED_PREPROCESSING,
     # the benchmark's own request: the same layers, with no output returned
     "confidential-mapped-preprocessing": MAPPED_PREPROCESSING,
     "inmem-training": ("dataset.load", "toyops.train", "toyops.tokenizer_decode", *COMMON),
-    "session-inference": ("toyops.infer", "toyops.model_decode", *COMMON),
+    "session-inference": ("toyops.infer", "toyops.model_decode", "toyops.tokenizer_decode",
+                          *COMMON),
 }
 
 

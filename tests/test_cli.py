@@ -19,6 +19,9 @@ from reference import oracle_encode, oracle_msh
 
 SEED = "cli-test-seed"
 
+# Brackets nested far past the JSON decoder's recursion limit.
+DEEP_JSON = b"[" * 200_000
+
 
 @pytest.fixture
 def home(tmp_path, monkeypatch):
@@ -300,7 +303,8 @@ class TestCanonicalHex:
         assert err.startswith("error: SchemaError: bad reference store document: ")
         assert "not canonical" in err
 
-    @pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+    @pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe", DEEP_JSON],
+                             ids=["not-json", "not-utf8", "too-deep"])
     def test_store_that_is_not_json_exits_2(self, provisioned, capsys, content):
         (provisioned / "refstore.json").write_bytes(content)
         assert cli.main(["ref", "add", "--op", "Evaluation", "--label", "h(metric)",
@@ -344,8 +348,20 @@ class TestStoreSave:
 
 
 class TestMalformedFiles:
-    """A reference store or keys file of the wrong shape is refused with
-    exit 2 and a message, never a traceback."""
+    """A reference store, keys file, bundle or input file of the wrong shape
+    is refused with exit 2 and a message, never a traceback."""
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe", DEEP_JSON], ids=["not-utf8", "too-deep"])
+    @pytest.mark.parametrize("argv", [
+        ["verify"],
+        ["request", "--endpoint", "127.0.0.1:1", "--op", "SingleInference", "--model"],
+    ], ids=["bundle", "model"])
+    def test_json_file_that_is_not_json_exits_2(self, provisioned, tmp_path, capsys, content,
+                                                argv):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        assert cli.main([*argv, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
     @pytest.mark.parametrize("field,value", [
         ("qe_pubkeys", []),
@@ -391,7 +407,8 @@ class TestMalformedFiles:
         lambda keys: json.dumps({k: v for k, v in keys.items() if k != "image_b64"}),
         lambda keys: json.dumps({**keys, "seed": "not hex"}),
         lambda keys: json.dumps({**keys, "image_b64": "not base64!"}),
-    ], ids=["not-json", "no-seed", "no-image", "seed-not-hex", "image-not-base64"])
+        lambda keys: DEEP_JSON.decode(),
+    ], ids=["not-json", "no-seed", "no-image", "seed-not-hex", "image-not-base64", "too-deep"])
     @pytest.mark.parametrize("command", [["serve", "--endpoint", "127.0.0.1:0"],
                                          ["bind", "--dataset", "corpus.palmds"]],
                              ids=["serve", "bind"])

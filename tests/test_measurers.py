@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palm import measurers
-from palm import msh
+from palm import msh, toyops
 from palm.dataset import (
     InMemoryDataset,
     MappedDataset,
@@ -623,18 +623,18 @@ class TestConfidentialPreprocessingKeepsNothing:
 
         shown = measure()
         kept = []
-        real = measurers._kept
-        monkeypatch.setattr(measurers, "_kept", lambda into, items: kept.append(1) or real(into, items))
+        real = measurers.preproc
+        monkeypatch.setattr(measurers, "preproc", lambda records: kept.append(1) or real(records))
         for pool in (None, msh_pool):
             hidden = measure(pool=pool, keep_output=False)
             assert hidden.mset == shown.mset
             assert hidden.result is None
             assert hidden.outputs is None
-        assert kept == []
+        assert kept == ([] if mapped else [1, 1])  # in memory, h(Dpre) hashes Dpre itself
 
 
 # --------------------------------------------------------------------------
-# Mapped Preprocessing measures Dpre through the companion of the handle's
+# Mapped Preprocessing measures Dpre as the second sum of the handle's fused
 # accumulator: pooled, the workers preprocess and hash each shipped record.
 
 # More than two batches, with empty records and records that preprocess to nothing.
@@ -673,7 +673,7 @@ class TestFusedPreprocessing:
             return preproc_record(record)
 
         shown = self._measure(fused_path, None)
-        for module in (measurers, msh):
+        for module in (toyops, msh):
             monkeypatch.setattr(module, "preproc_record", counted)
         hidden = self._measure(fused_path, msh_pool, keep_output=False)
         assert hidden.mset == shown.mset

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palm import msh
-from palm.errors import ParamsMismatch
 from palm.msh import (
     DIGEST_BYTES,
     DTYPE,
@@ -42,7 +41,7 @@ records_strategy = st.lists(st.binary(min_size=0, max_size=64), max_size=40)
 
 def _pooled(records, pool):
     """The digest of `records` hashed by `pool`'s workers."""
-    return msh_of_records(records, into=MshAccumulator(pool=pool))
+    return MshAccumulator(pool=pool).insert_many(records).finalize()
 
 
 class TestParams:
@@ -487,7 +486,7 @@ class TestPoolFaults:
                 f.write("ran\\n")
             records = [b"r%d" % i for i in range(600)]
             with MshPool() as pool:
-                print(msh_of_records(records, into=MshAccumulator(pool)) == msh_of_records(records))
+                print(MshAccumulator(pool).insert_many(records).finalize() == msh_of_records(records))
             """))
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
@@ -498,8 +497,8 @@ class TestPoolFaults:
 
 
 # --------------------------------------------------------------------------
-# The companion: MSH over preproc_record of the records its source takes,
-# hashed by the source's workers in the same fused batches when pooled.
+# The second sum: MSH over preproc_record of the records an accumulator
+# folds once fused, hashed by its workers in the same fused batches when pooled.
 
 def _batch(records):
     """One batch: the records joined into a buffer, and their spans in it."""
@@ -508,15 +507,12 @@ def _batch(records):
 
 
 def _fused(records, pool):
-    """(MSH(D), MSH(Dpre)) the way mapped Preprocessing takes them: each
-    record into the source, then into the source's companion."""
-    source = MshAccumulator(pool=pool)
-    companion = source.companion()
-    for record in records:
-        source.insert(record)
-        companion.insert(record)
-    d_pre = companion.finalize()
-    return source.finalize(), d_pre
+    """(MSH(D), MSH(Dpre)) the way mapped Preprocessing takes them: the
+    accumulator fused first, then each record inserted."""
+    acc = MshAccumulator(pool=pool)
+    acc.fuse_preproc()
+    acc.insert_many(records)
+    return acc.finalize(), acc.finalize(preprocessed=True)
 
 
 # Empty records, records whose preprocessed form is empty, and one past the cap.
@@ -524,6 +520,8 @@ EDGE_RECORDS = st.sampled_from([b"", b" ", b" \t\n\r\x0b\x0c", b"  Mixed\tCASE  
 
 
 class TestFusedCompanion:
+    """The second sum an accumulator keeps once fused: MSH(Dpre)."""
+
     @given(
         st.sampled_from([0, 1, FLUSH_RECORDS - 1, FLUSH_RECORDS, FLUSH_RECORDS + 1,
                          2 * FLUSH_RECORDS + 1]),
@@ -541,30 +539,17 @@ class TestFusedCompanion:
 
     @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
     def test_covers_only_records_taken_after_it(self, msh_pool, pooled):
-        source = MshAccumulator(pool=msh_pool if pooled else None).insert(b"Before")
-        companion = source.companion()
-        source.insert(b"After  It")
-        companion.insert(b"After  It")
-        assert companion.finalize() == msh_of_records([b"after it"])
-        assert source.finalize() == msh_of_records([b"Before", b"After  It"])
+        acc = MshAccumulator(pool=msh_pool if pooled else None).insert(b"Before")
+        acc.fuse_preproc()
+        acc.insert(b"After  It")
+        assert acc.finalize(preprocessed=True) == msh_of_records([b"after it"])
+        assert acc.finalize() == msh_of_records([b"Before", b"After  It"])
 
-    @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
-    def test_count_mismatch_fails_closed(self, msh_pool, pooled):
-        source = MshAccumulator(pool=msh_pool if pooled else None)
-        companion = source.companion()
-        source.insert_many([b"a", b"b"])
-        companion.insert(b"a")
-        with pytest.raises(ParamsMismatch, match="1 records preprocessed of the 2 taken"):
-            companion.finalize()
-        companion.insert_many([b"b", b"c"])
-        with pytest.raises(ParamsMismatch, match="3 records preprocessed of the 2 taken"):
-            companion.limbs
-
-    def test_one_companion_per_accumulator(self):
-        source = MshAccumulator()
-        source.companion()
-        with pytest.raises(ValueError, match="at most one companion"):
-            source.companion()
+    def test_second_fusing_is_refused(self):
+        acc = MshAccumulator()
+        acc.fuse_preproc()
+        with pytest.raises(ValueError, match="fused at most once"):
+            acc.fuse_preproc()
 
     def test_fused_batch_is_answered_with_two_sums(self, msh_pool):
         """A worker answers with _hash_spans, the function an accumulator
@@ -597,7 +582,7 @@ class _Unflagged:
 class TestFusedPoolFaults:
     """Each test runs its own pool, so the session's stays whole."""
 
-    def test_killed_worker_fails_the_companion_without_hanging(self):
+    def test_killed_worker_fails_the_dpre_read_without_hanging(self):
         import os
         import signal
         import threading
@@ -610,15 +595,13 @@ class TestFusedPoolFaults:
             outcome = []
 
             def run():
-                source = MshAccumulator(pool=pool)
-                companion = source.companion()
-                for record in [b"a", b"b", b"c", b"d"]:
-                    source.insert(record)
-                    companion.insert(record)
+                acc = MshAccumulator(pool=pool)
+                acc.fuse_preproc()
+                acc.insert_many([b"a", b"b", b"c", b"d"])
                 for pid in pids:
                     os.kill(pid, signal.SIGKILL)
                 try:
-                    companion.finalize()
+                    acc.finalize(preprocessed=True)
                 except MshWorkerError as exc:
                     outcome.append(str(exc))
 
@@ -641,10 +624,9 @@ class TestFusedPoolFaults:
         with msh.MshPool() as pool:
             assert _fused([b"warm"], pool) == _fused([b"warm"], None)
             with mock.patch.object(msh, "_BATCH_HEAD", _Unflagged(msh._BATCH_HEAD)):
-                source = MshAccumulator(pool=pool)
-                companion = source.companion()
-                source.insert(b"x")
-                companion.insert(b"x")
+                acc = MshAccumulator(pool=pool)
+                acc.fuse_preproc()
+                acc.insert(b"x")
                 with pytest.raises(MshWorkerError, match=f"answered {n} bytes, not {2 * n}"):
-                    companion.finalize()
+                    acc.finalize(preprocessed=True)
             assert _fused([b"y"], pool) == _fused([b"y"], None)

@@ -384,6 +384,15 @@ class TestModelRanges:
         with pytest.raises(ValueError, match="outside"):
             ToyModel("bigram", {2**32: {}})
 
+    @pytest.mark.parametrize("counts", [
+        {1.5: {2: 3}}, {1: {2.7: 3}}, {1: {2: 3.9}}, {True: {2: 3}}, {1: {True: 3}},
+        {1: {2: False}},
+    ])
+    def test_constructor_refuses_non_integers(self, counts):
+        """As from_json does: never truncated to the int it would round to."""
+        with pytest.raises(ValueError, match="is not an integer"):
+            ToyModel("bigram", counts)
+
     def test_range_ends_serialise(self):
         model = ToyModel("bigram", {2**32 - 1: {2**32 - 1: 2**64 - 1}})
         one = (1).to_bytes(4, "little")
